@@ -43,11 +43,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _settings(config: dict, section: str, **flags) -> dict:
+    """Settings resolved as flag > config[section][key].
+
+    Each keyword names a setting and carries its flag value (None when the
+    setting has no flag or the flag was not given). Settings set by neither
+    are left out, so a config dataclass fills in its own default.
+    """
+    given = config.get(section, {})
+    picked = {key: given[key] for key in flags if key in given}
+    picked.update((key, flag) for key, flag in flags.items() if flag is not None)
+    return picked
+
+
 def _pick(flag, config: dict, section: str, key: str, default):
-    """flag > config[section][key] > default."""
-    if flag is not None:
-        return flag
-    return config.get(section, {}).get(key, default)
+    """flag > config[section][key] > default, for settings no dataclass holds."""
+    return _settings(config, section, **{key: flag}).get(key, default)
 
 
 def _write_json(obj, path: Path) -> None:
@@ -80,18 +91,10 @@ def cmd_synth(args) -> None:
     config = _load_config(args.config)
     seed = _pick(args.seed, config, "synth", "seed", config.get("seed", 0))
     cfg = stores.SynthConfig(
-        n=_pick(args.n, config, "synth", "n", 1000),
-        dim=_pick(args.dim, config, "synth", "dim", 768),
-        class_ratio=_pick(args.class_ratio, config, "synth", "class_ratio", 0.6063),
-        concept_signal_strength=_pick(
-            args.signal, config, "synth", "concept_signal_strength", 1.0
-        ),
         seed=derive_seed(seed, "synth"),
-        concept_dim=_pick(args.concept_dim, config, "synth", "concept_dim", 256),
-        n_concepts=_pick(args.n_concepts, config, "synth", "n_concepts", 50),
-        concepts_per_record=_pick(
-            args.concepts_per_record, config, "synth", "concepts_per_record", 10
-        ),
+        **_settings(config, "synth", n=args.n, dim=args.dim, class_ratio=args.class_ratio,
+                    concept_signal_strength=args.signal, concept_dim=args.concept_dim,
+                    n_concepts=args.n_concepts, concepts_per_record=args.concepts_per_record),
     )
     records, concept_store = stores.synth_dataset(cfg)
     out = _out_dir(args)
@@ -110,16 +113,10 @@ def cmd_train_kge(args) -> None:
     config = _load_config(args.config)
     seed = _pick(args.seed, config, "kge", "seed", config.get("seed", 0))
     cfg = kge.KgeTrainConfig(
-        kind=_pick(args.kind, config, "kge", "kind", "transe"),
-        dim=_pick(args.dim, config, "kge", "dim", 256),
-        learning_rate=_pick(args.lr, config, "kge", "learning_rate", 0.001),
-        margin=_pick(args.margin, config, "kge", "margin", 1.0),
-        epochs=_pick(args.epochs, config, "kge", "epochs", 100),
-        negatives_per_positive=_pick(
-            args.negatives, config, "kge", "negatives_per_positive", 1
-        ),
-        norm=_pick(args.norm, config, "kge", "norm", "l2"),
         seed=derive_seed(seed, "kge"),
+        **_settings(config, "kge", kind=args.kind, dim=args.dim, learning_rate=args.lr,
+                    margin=args.margin, epochs=args.epochs,
+                    negatives_per_positive=args.negatives, norm=args.norm),
     )
     fmt = _pick(args.format, config, "kge", "format", "tsv")
     heldout_count = _pick(args.heldout, config, "kge", "heldout", 10)
@@ -204,22 +201,23 @@ def cmd_retrieve(args) -> None:
     print(f"retrieve: wrote top-{k} concepts for {queries.n} queries to {out}")
 
 
-def _fusion_config(args, config: dict, seed: int, lr: float) -> fusion.FusionConfig:
+def _fusion_config(
+    args, config: dict, seed: int, lr: float | None = None
+) -> fusion.FusionConfig:
+    """The fusion config from flags and config; lr, when given, wins over both."""
+    settings = _settings(
+        config, "fusion", d_model=args.d_model, num_heads=args.heads,
+        multimodal_dim=None, knowledge_dim=None,
+        learning_rate=lr if lr is not None else args.lr, warmup_fraction=None,
+        batch_size=args.batch_size, epochs=args.epochs, early_stop_patience=None,
+        train_concepts=args.train_concepts or None,
+    )
+    if "train_concepts" in settings:  # a config file may hold any JSON value
+        settings["train_concepts"] = bool(settings["train_concepts"])
     return fusion.FusionConfig(
-        d_model=_pick(args.d_model, config, "fusion", "d_model", 256),
-        num_heads=_pick(args.heads, config, "fusion", "num_heads", 4),
-        multimodal_dim=_pick(None, config, "fusion", "multimodal_dim", 768),
-        knowledge_dim=_pick(None, config, "fusion", "knowledge_dim", 256),
-        learning_rate=lr,
-        warmup_fraction=_pick(None, config, "fusion", "warmup_fraction", 0.1),
-        batch_size=_pick(args.batch_size, config, "fusion", "batch_size", 16),
-        epochs=_pick(args.epochs, config, "fusion", "epochs", 50),
-        early_stop_patience=_pick(None, config, "fusion", "early_stop_patience", 5),
         seed=derive_seed(seed, "fusion"),
         use_knowledge=not args.no_knowledge,
-        train_concepts=bool(
-            _pick(args.train_concepts or None, config, "fusion", "train_concepts", False)
-        ),
+        **settings,
     )
 
 
@@ -236,20 +234,19 @@ def cmd_train_fusion(args) -> None:
     config.setdefault("fusion", {}).setdefault("multimodal_dim", mm_store.dim)
     config["fusion"].setdefault("knowledge_dim", concept_store.dim)
 
-    if args.lr_sweep:
-        lrs = LR_SWEEP
-    else:
-        lrs = (_pick(args.lr, config, "fusion", "learning_rate", 5e-5),)
-
+    # With --train-concepts the model was trained and early-stopped against
+    # its tuned concept vectors, so it is evaluated against them too.
     best = None
-    for lr in lrs:
+    for lr in LR_SWEEP if args.lr_sweep else (None,):
         cfg = _fusion_config(args, config, seed, lr)
         result = fusion.train_classifier(train, concept_store, cfg, val_records=val)
-        val_labels, val_preds, _ = fusion.evaluate_records(result.net, val, concept_store)
+        val_labels, val_preds, _ = fusion.evaluate_records(
+            result.net, val, concept_store, result.concept_vectors
+        )
         val_acc = float(np.mean(val_labels == val_preds))
-        if best is None or val_acc > best[1]:
-            best = (lr, val_acc, result)
-    lr_selected, _, result = best
+        if best is None or val_acc > best[0]:
+            best = (val_acc, result)
+    result = best[1]
 
     out = _out_dir(args)
     fusion.save_checkpoint(result.net, out / "fusion.ckpt")
@@ -273,10 +270,10 @@ def cmd_train_fusion(args) -> None:
                  repr(row["train_acc"]), repr(row["val_acc"])]
             )
 
-    summary = {"lr_selected": lr_selected, "epochs_ran": len(result.history)}
+    summary = {"lr_selected": result.net.cfg.learning_rate, "epochs_ran": len(result.history)}
     for split_name, split_records in (("train", train), ("val", val), ("test", test)):
         labels, preds, scores = fusion.evaluate_records(
-            result.net, split_records, concept_store
+            result.net, split_records, concept_store, result.concept_vectors
         )
         ev = metrics.evaluate(labels, preds, scores)
         entry = ev.to_dict()

@@ -12,9 +12,10 @@ logits. Training minimises cross-entropy with adaptive-moment updates whose
 learning rate ramps linearly from zero over the first warmup fraction of
 planned steps and then decays linearly back to zero.
 
-All forward and backward passes are explicit numpy in float64; backward is
-hand derived and is checked against central finite differences in the test
-suite. The ablation flag use_knowledge=False skips attention entirely and
+forward and backward run on a batch of records that share n_k; training,
+evaluation and single-record predict all go through them. They are explicit
+numpy in float64; backward is hand derived and is checked against central
+finite differences in the test suite. The ablation flag use_knowledge=False skips attention entirely and
 classifies the projected multimodal vector alone.
 """
 from __future__ import annotations
@@ -66,8 +67,10 @@ class FusionConfig:
             )
         if self.multimodal_dim < 1 or self.knowledge_dim < 1:
             raise ValueError("embedding dims must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.batch_size < 1:
@@ -133,20 +136,20 @@ class FusionNet:
 
 @dataclass
 class ForwardTrace:
-    """Everything backward() needs, cached from one forward pass."""
+    """Everything backward() needs, cached from one forward pass over a batch."""
 
-    mm_vec: np.ndarray
-    kg_vecs: np.ndarray | None
+    x: np.ndarray  # [B, multimodal_dim]
+    kg: np.ndarray | None  # [B, n_k, knowledge_dim]
     q0: np.ndarray
     cls_in: np.ndarray
     logits: np.ndarray
-    use_knowledge: bool
     kv0: np.ndarray | None = None
-    q: np.ndarray | None = None  # [H, dh]
-    k: np.ndarray | None = None  # [H, n_k, dh]
-    v: np.ndarray | None = None  # [H, n_k, dh]
-    attn: np.ndarray | None = None  # [H, n_k], rows sum to 1
+    q: np.ndarray | None = None  # [B, H, dh]
+    k: np.ndarray | None = None  # [B, H, n_k, dh]
+    v: np.ndarray | None = None  # [B, H, n_k, dh]
+    attn: np.ndarray | None = None  # [B, H, n_k], rows sum to 1
     concat: np.ndarray | None = None
+
 
 def _einsum(subscripts: str, *operands) -> np.ndarray:
     """einsum with contraction-path optimisation (BLAS-backed where possible)."""
@@ -159,182 +162,44 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def attention(query: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention softmax(Q K^T / sqrt(d)) V.
-
-    query is [n_q, d], keys and values [n_k, d]; the softmax is stabilised
-    by row-max subtraction. Raises ValueError on empty keys or mismatched
-    shapes.
-    """
-    q = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    k = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if k.shape[0] == 0:
-        raise ValueError("attention needs at least one key")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"{k.shape[0]} keys but {v.shape[0]} values")
-    weights = _softmax(q @ k.T / np.sqrt(q.shape[1]), axis=-1)
-    return weights @ v
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed stably."""
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-record -log softmax(logits)[label] for logits [B, 2], computed stably."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return lse - shifted[np.arange(len(labels)), labels]
 
 
 def forward(
-    net: FusionNet, mm_vec: np.ndarray, kg_vecs: np.ndarray | None
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits for one record plus the cached trace.
-
-    kg_vecs is [n_k, knowledge_dim] with n_k >= 1 when the net uses
-    knowledge; it is ignored (and may be None) for the ablation net.
-    """
-    cfg = net.cfg
-    x = np.asarray(mm_vec, dtype=np.float64).reshape(-1)
-    if x.shape[0] != cfg.multimodal_dim:
-        raise ValueError(
-            f"multimodal vec dim {x.shape[0]}, expected {cfg.multimodal_dim}"
-        )
-    q0 = x @ net.proj_mm_w + net.proj_mm_b
-
-    if not cfg.use_knowledge:
-        logits = q0 @ net.cls_w + net.cls_b
-        return logits, ForwardTrace(
-            mm_vec=x,
-            kg_vecs=None,
-            q0=q0,
-            cls_in=q0,
-            logits=logits,
-            use_knowledge=False,
-        )
-
-    kg = np.asarray(kg_vecs, dtype=np.float64)
-    if kg.ndim != 2 or kg.shape[0] < 1 or kg.shape[1] != cfg.knowledge_dim:
-        raise ValueError(
-            f"knowledge matrix must be [n_k >= 1, {cfg.knowledge_dim}], "
-            f"got {kg.shape}"
-        )
-    kv0 = kg @ net.proj_kg_w + net.proj_kg_b  # [n_k, d]
-    q = _einsum("d,hde->he", q0, net.attn_q)
-    k = _einsum("nd,hde->hne", kv0, net.attn_k)
-    v = _einsum("nd,hde->hne", kv0, net.attn_v)
-    scores = _einsum("he,hne->hn", q, k) / np.sqrt(cfg.head_dim)
-    attn = _softmax(scores, axis=-1)
-    head_out = _einsum("hn,hne->he", attn, v)
-    concat = head_out.reshape(cfg.d_model)
-    fused = concat @ net.attn_out
-    cls_in = fused + q0
-    logits = cls_in @ net.cls_w + net.cls_b
-    return logits, ForwardTrace(
-        mm_vec=x,
-        kg_vecs=kg,
-        q0=q0,
-        cls_in=cls_in,
-        logits=logits,
-        use_knowledge=True,
-        kv0=kv0,
-        q=q,
-        k=k,
-        v=v,
-        attn=attn,
-        concat=concat,
-    )
-
-
-def backward(net: FusionNet, trace: ForwardTrace, label: int) -> dict[str, np.ndarray]:
-    """Gradients of the cross-entropy loss for one record.
-
-    Returns a dict keyed by parameter name plus "mm_vec" and "kg_vecs" for
-    the input gradients. The ablation path leaves attention and knowledge
-    projection gradients at zero.
-    """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    cfg = net.cfg
-    g = {name: np.zeros_like(p) for name, p in net.params().items()}
-
-    p = _softmax(trace.logits)
-    dz = p.copy()
-    dz[label] -= 1.0
-
-    g["cls_w"] = np.outer(trace.cls_in, dz)
-    g["cls_b"] = dz
-    d_cls_in = net.cls_w @ dz
-
-    if not trace.use_knowledge:
-        d_q0 = d_cls_in
-        g["proj_mm_w"] = np.outer(trace.mm_vec, d_q0)
-        g["proj_mm_b"] = d_q0
-        g["mm_vec"] = net.proj_mm_w @ d_q0
-        g["kg_vecs"] = np.zeros((0, cfg.knowledge_dim))
-        return g
-
-    d_fused = d_cls_in
-    d_q0 = d_cls_in.copy()
-
-    g["attn_out"] = np.outer(trace.concat, d_fused)
-    d_concat = net.attn_out @ d_fused
-    d_head = d_concat.reshape(cfg.num_heads, cfg.head_dim)
-
-    # Softmax backward: d_scores = A * (dA - sum(A * dA)) per row.
-    d_v = _einsum("hn,he->hne", trace.attn, d_head)
-    d_attn = _einsum("he,hne->hn", d_head, trace.v)
-    inner = np.sum(trace.attn * d_attn, axis=-1, keepdims=True)
-    d_scores = trace.attn * (d_attn - inner) / np.sqrt(cfg.head_dim)
-    d_q = _einsum("hn,hne->he", d_scores, trace.k)
-    d_k = _einsum("hn,he->hne", d_scores, trace.q)
-
-    g["attn_q"] = _einsum("d,he->hde", trace.q0, d_q)
-    d_q0 += _einsum("hde,he->d", net.attn_q, d_q)
-    g["attn_k"] = _einsum("nd,hne->hde", trace.kv0, d_k)
-    d_kv0 = _einsum("hde,hne->nd", net.attn_k, d_k)
-    g["attn_v"] = _einsum("nd,hne->hde", trace.kv0, d_v)
-    d_kv0 += _einsum("hde,hne->nd", net.attn_v, d_v)
-
-    g["proj_kg_w"] = trace.kg_vecs.T @ d_kv0
-    g["proj_kg_b"] = d_kv0.sum(axis=0)
-    g["kg_vecs"] = d_kv0 @ net.proj_kg_w.T
-
-    g["proj_mm_w"] = np.outer(trace.mm_vec, d_q0)
-    g["proj_mm_b"] = d_q0
-    g["mm_vec"] = net.proj_mm_w @ d_q0
-    return g
-
-
-# Batched twins of forward/backward. Records inside one batch share n_k so
-# everything stacks; train_classifier groups batches accordingly. The
-# single-record path above is the reference implementation and the batched
-# path is asserted against it in the tests.
-
-
-@dataclass
-class _BatchTrace:
-    x: np.ndarray
-    kg: np.ndarray | None
-    q0: np.ndarray
-    cls_in: np.ndarray
-    logits: np.ndarray
-    kv0: np.ndarray | None = None
-    q: np.ndarray | None = None
-    k: np.ndarray | None = None
-    v: np.ndarray | None = None
-    attn: np.ndarray | None = None
-    concat: np.ndarray | None = None
-
-
-def _forward_batch(
     net: FusionNet, x: np.ndarray, kg: np.ndarray | None
-) -> tuple[np.ndarray, _BatchTrace]:
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Logits [B, 2] for a batch plus the cached trace.
+
+    x is [B, multimodal_dim]. kg is [B, n_k, knowledge_dim] with n_k >= 1
+    when the net uses knowledge; it is ignored (and may be None) for the
+    ablation net.
+    """
     cfg = net.cfg
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.multimodal_dim:
+        raise ValueError(
+            f"multimodal batch must be [B, {cfg.multimodal_dim}], got {x.shape}"
+        )
     q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
     if not cfg.use_knowledge:
         logits = q0 @ net.cls_w + net.cls_b
-        return logits, _BatchTrace(x=x, kg=None, q0=q0, cls_in=q0, logits=logits)
+        return logits, ForwardTrace(x=x, kg=None, q0=q0, cls_in=q0, logits=logits)
 
+    kg = np.asarray(kg, dtype=np.float64)
+    if (
+        kg.ndim != 3
+        or kg.shape[0] != x.shape[0]
+        or kg.shape[1] < 1
+        or kg.shape[2] != cfg.knowledge_dim
+    ):
+        raise ValueError(
+            f"knowledge batch must be [{x.shape[0]}, n_k >= 1, "
+            f"{cfg.knowledge_dim}], got {kg.shape}"
+        )
     kv0 = kg @ net.proj_kg_w + net.proj_kg_b  # [B, n_k, d]
     q = _einsum("bd,hde->bhe", q0, net.attn_q)
     k = _einsum("bnd,hde->bhne", kv0, net.attn_k)
@@ -345,16 +210,20 @@ def _forward_batch(
     concat = head_out.reshape(x.shape[0], cfg.d_model)
     cls_in = concat @ net.attn_out + q0
     logits = cls_in @ net.cls_w + net.cls_b
-    return logits, _BatchTrace(
+    return logits, ForwardTrace(
         x=x, kg=kg, q0=q0, cls_in=cls_in, logits=logits,
         kv0=kv0, q=q, k=k, v=v, attn=attn, concat=concat,
     )
 
 
-def _backward_batch(
-    net: FusionNet, trace: _BatchTrace, labels: np.ndarray
+def backward(
+    net: FusionNet, trace: ForwardTrace, labels: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Mean-loss gradients over the batch, plus d kg_vecs [B, n_k, kg_dim]."""
+    """Gradients of the batch-mean cross-entropy, plus d kg [B, n_k, kg_dim].
+
+    The ablation path leaves attention and knowledge projection gradients
+    at zero and returns an empty d kg.
+    """
     cfg = net.cfg
     batch = trace.x.shape[0]
     g = {name: np.zeros_like(p) for name, p in net.params().items()}
@@ -378,6 +247,7 @@ def _backward_batch(
         d_concat = d_fused @ net.attn_out.T
         d_head = d_concat.reshape(batch, cfg.num_heads, cfg.head_dim)
 
+        # Softmax backward: d_scores = A * (dA - sum(A * dA)) per row.
         d_v = _einsum("bhn,bhe->bhne", trace.attn, d_head)
         d_attn = _einsum("bhe,bhne->bhn", d_head, trace.v)
         inner = np.sum(trace.attn * d_attn, axis=-1, keepdims=True)
@@ -474,7 +344,7 @@ def _eval_net(
     p1 = np.empty(len(records), dtype=np.float64)
     for idx in _batch_plan(ks, np.arange(len(records)), 512):
         x, kg, _, _ = _gather(records, concepts, idx)
-        logits, _ = _forward_batch(net, x, kg if net.cfg.use_knowledge else None)
+        logits, _ = forward(net, x, kg)
         probs = _softmax(logits, axis=-1)
         # Equal logits resolve to label 0.
         preds[idx] = (probs[:, 1] > probs[:, 0]).astype(np.int64)
@@ -547,14 +417,9 @@ def train_classifier(
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
             x, kg, ids, batch_labels = _gather(records, concepts, idx)
-            logits, trace = _forward_batch(
-                net, x, kg if cfg.use_knowledge else None
-            )
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(shifted).sum(axis=1))
-            losses = lse - shifted[np.arange(len(idx)), batch_labels]
-            epoch_loss += float(losses.sum())
-            grads, d_kg = _backward_batch(net, trace, batch_labels)
+            logits, trace = forward(net, x, kg)
+            epoch_loss += float(cross_entropy(logits, batch_labels).sum())
+            grads, d_kg = backward(net, trace, batch_labels)
             params = net.params()
             for name in net.PARAM_NAMES:
                 adam.step(name, params[name], grads[name], lr)
@@ -600,21 +465,30 @@ def predict(
 ) -> tuple[int, tuple[float, float]]:
     """Label and class probabilities for one record; ties go to label 0."""
     _resolve_ids([record], concept_store.n)
-    kg = concept_store.vectors[record.concept_ids].astype(np.float64)
-    logits, _ = forward(net, record.multimodal_vec, kg if net.cfg.use_knowledge else None)
-    probs = _softmax(logits)
+    kg = concept_store.vectors[record.concept_ids]
+    logits, _ = forward(net, record.multimodal_vec[None], kg[None])
+    probs = _softmax(logits[0])
     label = 1 if probs[1] > probs[0] else 0
     return label, (float(probs[0]), float(probs[1]))
 
 
 def evaluate_records(
-    net: FusionNet, records: list[CampaignRecord], concept_store: EmbeddingStore
+    net: FusionNet,
+    records: list[CampaignRecord],
+    concept_store: EmbeddingStore,
+    concept_vectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, predictions, positive-class scores) over a record list."""
+    """(labels, predictions, positive-class scores) over a record list.
+
+    concept_vectors, when given, replaces the store's vectors row for row:
+    pass TrainResult.concept_vectors to evaluate a concept-tuned model.
+    """
     if not records:
         raise ValueError("no records to evaluate")
     _resolve_ids(records, concept_store.n)
-    return _eval_net(net, records, concept_store.vectors.astype(np.float64))
+    if concept_vectors is None:
+        concept_vectors = concept_store.vectors.astype(np.float64)
+    return _eval_net(net, records, concept_vectors)
 
 
 def _head_params(net: FusionNet):

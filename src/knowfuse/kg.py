@@ -179,18 +179,6 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
     )
 
 
-def save_triples(kg: KnowledgeGraph, path: str | Path) -> None:
-    """Write the graph back out as TSV, one labelled triple per line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for t in kg.triples:
-            fh.write(
-                f"{kg.entity_vocab.label(t.head)}\t"
-                f"{kg.relation_vocab.label(t.relation)}\t"
-                f"{kg.entity_vocab.label(t.tail)}\n"
-            )
-
-
 def corrupt(
     triple: Triple,
     side: str,

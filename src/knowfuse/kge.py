@@ -54,10 +54,10 @@ class KgeTrainConfig:
             raise ValueError("dim must be positive")
         if self.kind == "rotate" and self.dim % 2 != 0:
             raise ValueError("rotate needs an even dim (interleaved re/im pairs)")
-        if self.learning_rate <= 0 and self.learning_rate != 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        for name in ("learning_rate", "margin"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.negatives_per_positive < 1:

@@ -73,14 +73,3 @@ def combine_text_caption(text_vec: np.ndarray, caption_vec: np.ndarray) -> np.nd
     if mn == 0.0:
         raise ValueError("text and caption cancel out; combined query is zero")
     return mean / mn
-
-
-def retrieve_for_record(
-    index: ConceptIndex,
-    text_vec: np.ndarray,
-    caption_vec: np.ndarray,
-    k: int,
-) -> list[str]:
-    """Names of the k concepts nearest the combined text+caption query."""
-    query = combine_text_caption(text_vec, caption_vec)
-    return [name for name, _ in top_k(index, query, k)]

@@ -209,14 +209,16 @@ def test_criterion_05_fusion_gradients_match_finite_differences():
             kg = rng.normal(size=(n_k, cfg.knowledge_dim))
             label = int(rng.integers(0, 2))
 
-            logits, trace = fusion.forward(net, mm, kg if cfg.use_knowledge else None)
+            # The shipped batched path at B=1; the ablation net ignores kg.
+            x, kgb, labels = mm[None], kg[None], np.array([label])
+            logits, trace = fusion.forward(net, x, kgb)
             if cfg.use_knowledge:
                 assert_allclose(trace.attn.sum(axis=-1), 1.0, atol=1e-6)
                 perm = np.random.default_rng(case).permutation(n_k)
-                shuffled, _ = fusion.forward(net, mm, kg[perm])
+                shuffled, _ = fusion.forward(net, x, kg[perm][None])
                 assert_allclose(shuffled, logits, atol=1e-6)
 
-            grads = fusion.backward(net, trace, label)
+            grads, _ = fusion.backward(net, trace, labels)
             eps = 1e-4
             for name in net.PARAM_NAMES:
                 param = getattr(net, name)
@@ -226,15 +228,9 @@ def test_criterion_05_fusion_gradients_match_finite_differences():
                     idx = it.multi_index
                     orig = param[idx]
                     param[idx] = orig + eps
-                    up = fusion.cross_entropy(
-                        fusion.forward(net, mm, kg if cfg.use_knowledge else None)[0],
-                        label,
-                    )
+                    up = fusion.cross_entropy(fusion.forward(net, x, kgb)[0], labels)[0]
                     param[idx] = orig - eps
-                    dn = fusion.cross_entropy(
-                        fusion.forward(net, mm, kg if cfg.use_knowledge else None)[0],
-                        label,
-                    )
+                    dn = fusion.cross_entropy(fusion.forward(net, x, kgb)[0], labels)[0]
                     param[idx] = orig
                     fd[idx] = (up - dn) / (2 * eps)
                     it.iternext()

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from knowfuse.cli import main
-from knowfuse.fusion import load_checkpoint
-from knowfuse.stores import EmbeddingStore, read_store, write_store
+from knowfuse.cli import derive_seed, main
+from knowfuse.fusion import FusionConfig, load_checkpoint
+from knowfuse.kge import KgeTrainConfig
+from knowfuse.stores import EmbeddingStore, SynthConfig, read_store, write_store
 
 from conftest import pair_bundle_rows, write_tsv
 
@@ -277,6 +278,20 @@ class TestTrainFusionAndPredict:
         assert tuned.names == original.names
         assert not np.array_equal(tuned.vectors, original.vectors)
 
+    def test_train_concepts_metrics_use_tuned_concepts(self, tmp_path):
+        # The model early-stops on validation accuracy against its tuned
+        # concepts, so metrics.json must report that same accuracy. A weak
+        # concept signal and a large step make the tuned concepts matter.
+        data = tmp_path / "data"
+        assert main(_synth_args(data) + ["--signal", "0.3"]) == 0
+        out = tmp_path / "model"
+        argv = _fusion_args(data, out, "--train-concepts", "--epochs", "6", "--lr", "0.03")
+        assert main(argv) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        best_val = max(float(row.split(",")[4]) for row in rows)
+        assert metrics["val"]["accuracy"] == best_val
+
     def test_predict_round_trip(self, data, tmp_path):
         model = tmp_path / "model"
         assert main(_fusion_args(data, model)) == 0
@@ -398,6 +413,65 @@ class TestCongruence:
             "--out", str(tmp_path / "out"),
         ]
         assert main(argv) == 1
+
+
+class TestConfigFile:
+    """Flags beat config[section][key]; the config dataclasses supply the rest."""
+
+    def test_kge_settings(self, toy_tsv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"seed": 4, "kge": {"margin": 0.5, "epochs": 9, "heldout": 4}}
+        ))
+        out = tmp_path / "out"
+        argv = ["train-kge", "--triples", str(toy_tsv), "--dim", "8", "--epochs", "2",
+                "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        meta = dict(line.split("=", 1) for line in
+                    (out / "kge_meta.txt").read_text().splitlines())
+        default = KgeTrainConfig()
+        assert meta["epochs"] == "2"  # flag over config
+        assert meta["margin"] == "0.5"  # config over default
+        assert meta["heldout_triples"] == "4"
+        assert meta["seed"] == str(derive_seed(4, "kge"))
+        assert meta["kind"] == default.kind and meta["norm"] == default.norm
+        assert meta["learning_rate"] == str(default.learning_rate)
+        assert meta["negatives_per_positive"] == str(default.negatives_per_positive)
+
+    def test_fusion_settings(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(_synth_args(data)) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fusion": {
+            "epochs": 1, "batch_size": 4, "warmup_fraction": 0.5, "train_concepts": 1,
+        }}))
+        out = tmp_path / "model"
+        argv = _fusion_args(data, out, "--config", str(config))
+        argv.remove("--lr")
+        argv.remove("0.001")
+        assert main(argv) == 0
+        cfg = load_checkpoint(out / "fusion.ckpt").cfg
+        default = FusionConfig()
+        assert cfg.epochs == 2 and cfg.batch_size == 8  # flags over config
+        assert cfg.warmup_fraction == 0.5
+        assert cfg.train_concepts is True
+        assert cfg.multimodal_dim == 12 and cfg.knowledge_dim == 8  # from the stores
+        assert cfg.learning_rate == default.learning_rate
+        assert cfg.early_stop_patience == default.early_stop_patience
+
+    def test_synth_settings(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n": 30, "n_concepts": 12}}))
+        out = tmp_path / "data"
+        assert main(["synth", "--n", "20", "--dim", "6", "--concept-dim", "4",
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert read_store(out / "multimodal.emb").n == 20
+        concepts = read_store(out / "concepts.emb")
+        assert concepts.n == 12 and concepts.dim == 4
+        rows = _read_jsonl(out / "records.jsonl")
+        assert {len(r["concept_names"]) for r in rows} == {
+            SynthConfig().concepts_per_record
+        }
 
 
 class TestExitCodes:

@@ -14,7 +14,6 @@ from knowfuse.errors import (
 from knowfuse.fusion import (
     FusionConfig,
     FusionNet,
-    attention,
     backward,
     cross_entropy,
     evaluate_records,
@@ -25,8 +24,9 @@ from knowfuse.fusion import (
     train_classifier,
     warmup_lr,
 )
-from knowfuse.fusion import _backward_batch, _forward_batch
 from knowfuse.stores import SynthConfig, synth_dataset
+
+import fusion_reference as ref
 
 TINY = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
                     seed=0)
@@ -38,14 +38,34 @@ def _record_inputs(rng, cfg: FusionConfig, n_k: int = 3):
     return mm, kg
 
 
+def _forward_one(net, mm, kg):
+    """The shipped batched forward at B=1: logits [2] and the trace."""
+    logits, trace = forward(net, mm[None], kg[None])
+    return logits[0], trace
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["learning_rate", "warmup_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FusionConfig(**{field: value})
+
+    def test_rejects_negative_learning_rate(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            FusionConfig(learning_rate=-1e-5)
+
+
 class TestAttentionOp:
+    """The reference attention op that the forward oracle test builds on."""
+
     def test_two_key_hand_case(self):
         # scores (1/sqrt(2), 0); closed-form softmax weight for the first
         # key is 1/(1 + exp(-1/sqrt(2))) = 0.6697615493266569
         query = np.array([1.0, 0.0])
         keys = np.array([[1.0, 0.0], [0.0, 1.0]])
         values = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = attention(query, keys, values)
+        out = ref.attention(query, keys, values)
         w1 = 1.0 / (1.0 + np.exp(-1.0 / np.sqrt(2.0)))
         assert_allclose(out[0], [w1, 1.0 - w1], rtol=1e-12)
         assert_allclose(out[0], [0.6697615493266569, 0.3302384506733431],
@@ -55,36 +75,44 @@ class TestAttentionOp:
         query = np.zeros(4)
         keys = np.random.default_rng(0).normal(size=(5, 4))
         values = np.eye(5, 4)
-        out = attention(query, keys, values)
+        out = ref.attention(query, keys, values)
         assert_allclose(out[0], values.mean(axis=0), rtol=1e-12)
 
     def test_single_key_passes_value_through(self):
         rng = np.random.default_rng(1)
         value = rng.normal(size=(1, 6))
-        out = attention(rng.normal(size=6), rng.normal(size=(1, 6)), value)
+        out = ref.attention(rng.normal(size=6), rng.normal(size=(1, 6)), value)
         assert_allclose(out[0], value[0], rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one key"):
-            attention(np.ones(3), np.empty((0, 3)), np.empty((0, 3)))
+            ref.attention(np.ones(3), np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(ValueError, match="dim"):
-            attention(np.ones(3), np.ones((2, 4)), np.ones((2, 4)))
+            ref.attention(np.ones(3), np.ones((2, 4)), np.ones((2, 4)))
         with pytest.raises(ValueError, match="values"):
-            attention(np.ones(3), np.ones((2, 3)), np.ones((3, 3)))
+            ref.attention(np.ones(3), np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestCrossEntropy:
     def test_even_logits(self):
-        assert_allclose(cross_entropy(np.zeros(2), 0), np.log(2.0), rtol=1e-12)
-        assert_allclose(cross_entropy(np.zeros(2), 1), np.log(2.0), rtol=1e-12)
+        assert_allclose(cross_entropy(np.zeros((2, 2)), np.array([0, 1])),
+                        [np.log(2.0), np.log(2.0)], rtol=1e-12)
 
     def test_confident_wrong_is_costly(self):
-        assert cross_entropy(np.array([10.0, -10.0]), 1) > 19.0
-        assert cross_entropy(np.array([10.0, -10.0]), 0) < 1e-8
+        losses = cross_entropy(np.array([[10.0, -10.0]] * 2), np.array([1, 0]))
+        assert losses[0] > 19.0
+        assert losses[1] < 1e-8
 
     def test_overflow_safe(self):
-        val = cross_entropy(np.array([1000.0, 0.0]), 0)
-        assert np.isfinite(val) and val >= 0.0
+        val = cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
+        assert np.isfinite(val).all() and val[0] >= 0.0
+
+    def test_matches_single_record_reference(self):
+        rng = np.random.default_rng(16)
+        logits = rng.normal(scale=5.0, size=(9, 2))
+        labels = rng.integers(0, 2, size=9)
+        want = [ref.cross_entropy(z, int(y)) for z, y in zip(logits, labels)]
+        assert_allclose(cross_entropy(logits, labels), want, rtol=1e-12)
 
 
 class TestForward:
@@ -92,20 +120,16 @@ class TestForward:
         rng = np.random.default_rng(2)
         net = FusionNet(TINY, rng=np.random.default_rng(3))
         mm, kg = _record_inputs(rng, TINY, n_k=4)
-        logits, _ = forward(net, mm, kg)
+        logits, _ = _forward_one(net, mm, kg)
 
-        # plain-loop recomputation
-        d, h, dh = TINY.d_model, TINY.num_heads, TINY.head_dim
+        # per-head recomputation with the reference attention op
         q0 = mm @ net.proj_mm_w + net.proj_mm_b
         kv0 = kg @ net.proj_kg_w + net.proj_kg_b
-        heads = []
-        for i in range(h):
-            q = q0 @ net.attn_q[i]
-            k = kv0 @ net.attn_k[i]
-            v = kv0 @ net.attn_v[i]
-            s = k @ q / np.sqrt(dh)
-            w = np.exp(s) / np.sum(np.exp(s))
-            heads.append(w @ v)
+        heads = [
+            ref.attention(q0 @ net.attn_q[i], kv0 @ net.attn_k[i],
+                          kv0 @ net.attn_v[i])[0]
+            for i in range(TINY.num_heads)
+        ]
         fused = np.concatenate(heads) @ net.attn_out
         want = (fused + q0) @ net.cls_w + net.cls_b
         assert_allclose(logits, want, rtol=1e-10)
@@ -116,7 +140,7 @@ class TestForward:
             getattr(net, name)[...] = 0.0
         rng = np.random.default_rng(4)
         mm, kg = _record_inputs(rng, TINY)
-        logits, _ = forward(net, mm, kg)
+        logits, _ = _forward_one(net, mm, kg)
         assert_allclose(logits, [0.0, 0.0], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
@@ -124,8 +148,8 @@ class TestForward:
         net = FusionNet(TINY, rng=rng)
         for n_k in (1, 2, 7):
             mm, kg = _record_inputs(rng, TINY, n_k=n_k)
-            _, trace = forward(net, mm, kg)
-            assert trace.attn.shape == (TINY.num_heads, n_k)
+            _, trace = _forward_one(net, mm, kg)
+            assert trace.attn.shape == (1, TINY.num_heads, n_k)
             assert_allclose(trace.attn.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(trace.attn >= 0.0)
 
@@ -133,10 +157,10 @@ class TestForward:
         rng = np.random.default_rng(6)
         net = FusionNet(TINY, rng=rng)
         mm, kg = _record_inputs(rng, TINY, n_k=5)
-        base, _ = forward(net, mm, kg)
+        base, _ = _forward_one(net, mm, kg)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(5)
-            shuffled, _ = forward(net, mm, kg[perm])
+            shuffled, _ = _forward_one(net, mm, kg[perm])
             assert_allclose(shuffled, base, atol=1e-6)
 
     def test_ablation_ignores_knowledge(self):
@@ -145,24 +169,34 @@ class TestForward:
         net = FusionNet(cfg)
         rng = np.random.default_rng(7)
         mm, kg = _record_inputs(rng, cfg)
-        with_kg, trace = forward(net, mm, kg)
-        without, _ = forward(net, mm, None)
-        assert np.array_equal(with_kg, without)
+        with_kg, trace = _forward_one(net, mm, kg)
+        without, _ = forward(net, mm[None], None)
+        assert np.array_equal(with_kg, without[0])
         assert trace.kv0 is None and trace.attn is None
 
     def test_input_validation(self):
         net = FusionNet(TINY)
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="multimodal"):
-            forward(net, np.ones(4), rng.normal(size=(2, 5)))
+            forward(net, np.ones((1, 4)), rng.normal(size=(1, 2, 5)))
+        with pytest.raises(ValueError, match="multimodal"):
+            forward(net, np.ones(6), rng.normal(size=(1, 2, 5)))
         with pytest.raises(ValueError, match="knowledge"):
-            forward(net, np.ones(6), rng.normal(size=(2, 9)))
+            forward(net, np.ones((1, 6)), rng.normal(size=(1, 2, 9)))
         with pytest.raises(ValueError, match="knowledge"):
-            forward(net, np.ones(6), np.empty((0, 5)))
+            forward(net, np.ones((1, 6)), np.empty((1, 0, 5)))
+        with pytest.raises(ValueError, match="knowledge"):
+            forward(net, np.ones((2, 6)), rng.normal(size=(1, 2, 5)))
+        with pytest.raises(ValueError, match="knowledge"):
+            forward(net, np.ones((1, 6)), None)
 
 
-def _flat_param_fd(net, name, mm, kg, label, eps=1e-4):
-    """Central differences of the loss over one parameter tensor."""
+def _flat_param_fd(net, name, mm, kg, labels, eps=1e-4):
+    """Central differences of the batch-mean loss over one parameter tensor."""
+
+    def loss():
+        return float(np.mean(cross_entropy(forward(net, mm, kg)[0], labels)))
+
     param = getattr(net, name)
     g = np.zeros_like(param)
     it = np.nditer(param, flags=["multi_index"])
@@ -170,63 +204,78 @@ def _flat_param_fd(net, name, mm, kg, label, eps=1e-4):
         idx = it.multi_index
         orig = param[idx]
         param[idx] = orig + eps
-        up = cross_entropy(forward(net, mm, kg)[0], label)
+        up = loss()
         param[idx] = orig - eps
-        dn = cross_entropy(forward(net, mm, kg)[0], label)
+        dn = loss()
         param[idx] = orig
         g[idx] = (up - dn) / (2.0 * eps)
         it.iternext()
     return g
 
 
+def _within(analytic, fd):
+    err = np.abs(analytic - fd)
+    return np.all(err <= 1e-8 + 1e-3 * np.maximum(np.abs(analytic), np.abs(fd)))
+
+
 class TestBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         net = FusionNet(TINY, rng=np.random.default_rng(10))
-        mm, kg = _record_inputs(rng, TINY, n_k=3)
-        label = 1
+        mm = rng.normal(size=(3, TINY.multimodal_dim))
+        kg = rng.normal(size=(3, 3, TINY.knowledge_dim))
+        labels = np.array([1, 0, 1])
         _, trace = forward(net, mm, kg)
-        grads = backward(net, trace, label)
+        grads, _ = backward(net, trace, labels)
         for name in net.PARAM_NAMES:
-            fd = _flat_param_fd(net, name, mm, kg, label)
-            err = np.abs(grads[name] - fd)
-            tol = 1e-8 + 1e-3 * np.maximum(np.abs(grads[name]), np.abs(fd))
-            assert np.all(err <= tol), name
+            assert _within(grads[name], _flat_param_fd(net, name, mm, kg, labels)), name
 
     def test_input_gradients_match_fd(self):
         rng = np.random.default_rng(11)
         net = FusionNet(TINY, rng=np.random.default_rng(12))
         mm, kg = _record_inputs(rng, TINY, n_k=2)
-        _, trace = forward(net, mm, kg)
-        grads = backward(net, trace, 0)
         eps = 1e-4
-        for arr, key in ((mm, "mm_vec"), (kg, "kg_vecs")):
+
+        def fd_of(arr, loss):
             fd = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
             while not it.finished:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                up = cross_entropy(forward(net, mm, kg)[0], 0)
+                up = loss()
                 arr[idx] = orig - eps
-                dn = cross_entropy(forward(net, mm, kg)[0], 0)
+                dn = loss()
                 arr[idx] = orig
                 fd[idx] = (up - dn) / (2.0 * eps)
                 it.iternext()
-            err = np.abs(grads[key] - fd)
-            tol = 1e-8 + 1e-3 * np.maximum(np.abs(grads[key]), np.abs(fd))
-            assert np.all(err <= tol), key
+            return fd
+
+        # The shipped backward returns d kg, which concept tuning consumes.
+        _, trace = _forward_one(net, mm, kg)
+        _, d_kg = backward(net, trace, np.array([0]))
+        fd = fd_of(kg, lambda: cross_entropy(_forward_one(net, mm, kg)[0][None],
+                                             np.array([0]))[0])
+        assert _within(d_kg[0], fd)
+
+        # The reference also derives both input gradients.
+        _, trace = ref.forward(net, mm, kg)
+        grads = ref.backward(net, trace, 0)
+        for arr, key in ((mm, "mm_vec"), (kg, "kg_vecs")):
+            fd = fd_of(arr, lambda: ref.cross_entropy(ref.forward(net, mm, kg)[0], 0))
+            assert _within(grads[key], fd), key
 
     def test_ablation_leaves_attention_untouched(self):
         cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6,
                            knowledge_dim=5, use_knowledge=False, seed=2)
         net = FusionNet(cfg)
-        mm = np.random.default_rng(13).normal(size=6)
+        mm = np.random.default_rng(13).normal(size=(1, 6))
         _, trace = forward(net, mm, None)
-        grads = backward(net, trace, 1)
+        grads, d_kg = backward(net, trace, np.array([1]))
         for name in ("attn_q", "attn_k", "attn_v", "attn_out", "proj_kg_w"):
             assert not np.any(grads[name])
         assert np.any(grads["proj_mm_w"])
+        assert d_kg.shape == (1, 0, cfg.knowledge_dim)
 
 
 class TestBatchedPath:
@@ -239,14 +288,15 @@ class TestBatchedPath:
         kg = rng.normal(size=(batch, n_k, TINY.knowledge_dim))
         labels = np.array([0, 1, 1, 0, 1, 0])
 
-        logits_b, trace_b = _forward_batch(net, mm, kg)
-        grads_b, d_kg = _backward_batch(net, trace_b, labels)
+        logits_b, trace_b = forward(net, mm, kg)
+        grads_b, d_kg = backward(net, trace_b, labels)
 
         single_grads = []
         for i in range(batch):
-            logits_i, trace_i = forward(net, mm[i], kg[i])
+            logits_i, trace_i = ref.forward(net, mm[i], kg[i])
             assert_allclose(logits_b[i], logits_i, rtol=1e-10, atol=1e-12)
-            single_grads.append(backward(net, trace_i, int(labels[i])))
+            assert_allclose(trace_b.attn[i], trace_i.attn, rtol=1e-10, atol=1e-12)
+            single_grads.append(ref.backward(net, trace_i, int(labels[i])))
         for name in net.PARAM_NAMES:
             mean = np.mean([g[name] for g in single_grads], axis=0)
             assert_allclose(grads_b[name], mean, rtol=1e-9, atol=1e-12)
@@ -368,6 +418,17 @@ class TestPredict:
             label, (p0, p1) = predict(net, r, store)
             assert_allclose(p0 + p1, 1.0, rtol=1e-12)
             assert label == int(p1 > p0)
+
+
+    def test_matches_batched_evaluation(self):
+        records, store = _small_dataset(n=20)
+        for use_knowledge in (True, False):
+            net = FusionNet(_small_fusion_cfg(seed=4, use_knowledge=use_knowledge))
+            _, preds, p1 = evaluate_records(net, records, store)
+            for r, want_label, want_p1 in zip(records, preds, p1):
+                label, (_, got_p1) = predict(net, r, store)
+                assert label == want_label
+                assert abs(got_p1 - want_p1) <= 1e-12
 
 
 class TestCheckpoint:

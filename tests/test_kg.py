@@ -12,7 +12,6 @@ from knowfuse.kg import (
     corrupt,
     holdout_split,
     load_triples,
-    save_triples,
 )
 
 from conftest import write_tsv
@@ -85,14 +84,6 @@ class TestLoadTriples:
         kg = load_triples(path, fmt="conceptnet-csv")
         assert kg.relation_vocab.labels == ["IsA"]
         assert kg.entity_vocab.labels == ["dog", "animal"]
-
-    def test_save_load_round_trip(self, tmp_path, toy_graph):
-        out = tmp_path / "back.tsv"
-        save_triples(toy_graph, out)
-        kg2 = load_triples(out)
-        assert kg2.triples == toy_graph.triples
-        assert kg2.entity_vocab == toy_graph.entity_vocab
-        assert kg2.relation_vocab == toy_graph.relation_vocab
 
 
 class TestToyGraphShape:

@@ -235,6 +235,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             KgeTrainConfig(learning_rate=-0.1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KgeTrainConfig(**{field: value})
+
+    def test_zero_learning_rate_and_margin_allowed(self):
+        cfg = KgeTrainConfig(learning_rate=0.0, margin=0.0)
+        assert cfg.learning_rate == 0.0 and cfg.margin == 0.0
+
     def test_rejects_zero_negatives(self):
         with pytest.raises(ValueError):
             KgeTrainConfig(negatives_per_positive=0)

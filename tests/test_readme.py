@@ -1,0 +1,33 @@
+"""The README's library snippet runs against the API that exists."""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from knowfuse.cli import main
+
+from conftest import pair_bundle_rows, write_tsv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_snippet() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, flags=re.S)
+    assert match, "README has no python block under 'Library use'"
+    return match.group(1)
+
+
+def test_library_snippet_runs(tmp_path, monkeypatch):
+    write_tsv(pair_bundle_rows(), tmp_path / "graph.tsv")
+    assert main([
+        "synth", "--n", "80", "--dim", "12", "--concept-dim", "8",
+        "--n-concepts", "10", "--concepts-per-record", "3",
+        "--class-ratio", "0.5", "--seed", "1", "--out", str(tmp_path),
+    ]) == 0
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(_library_snippet(), str(README), "exec"), namespace)
+    assert len(namespace["hits"]) == 5
+    assert namespace["label"] in (0, 1)
+    assert abs(namespace["p0"] + namespace["p1"] - 1.0) < 1e-12

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from knowfuse.retrieval import (
     ConceptIndex,
     combine_text_caption,
-    retrieve_for_record,
     top_k,
 )
 from knowfuse.stores import EmbeddingStore
@@ -144,14 +143,3 @@ class TestCombineTextCaption:
             combine_text_caption(np.ones(4), np.ones(5))
         with pytest.raises(ValueError, match="cancel"):
             combine_text_caption(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-
-
-class TestRetrieveForRecord:
-    def test_names_match_combined_query_search(self):
-        index = _index(seed=10)
-        rng = np.random.default_rng(11)
-        text, caption = rng.normal(size=16), rng.normal(size=16)
-        names = retrieve_for_record(index, text, caption, 5)
-        combined = combine_text_caption(text, caption)
-        assert names == [n for n, _ in top_k(index, combined, 5)]
-        assert len(names) == 5
