@@ -177,27 +177,31 @@ def cmd_retrieve(args) -> None:
 
     index = retrieval.ConceptIndex(concept_store)
     out = _out_dir(args)
+    # Queries stream through in blocks whose score matrix fits the index's
+    # byte budget, so memory does not grow with the number of queries.
+    step = index.block_rows
     with (out / "retrieved.jsonl").open("w", encoding="utf-8") as fh:
-        for i, name in enumerate(queries.names):
-            if captions is None:
-                query = queries.vectors[i]
-            else:
-                query = retrieval.combine_text_caption(
-                    queries.vectors[i], captions.vectors[i]
+        for start in range(0, queries.n, step):
+            stop = min(start + step, queries.n)
+            block = queries.vectors[start:stop]
+            try:
+                if captions is not None:
+                    block = retrieval.combine_text_caption(
+                        block, captions.vectors[start:stop]
+                    )
+                hits = retrieval.top_k(index, block, k)
+            except ValueError as exc:
+                raise ValueError(
+                    f"queries {start} to {stop - 1} (row 0 is {queries.names[start]!r}): {exc}"
+                ) from exc
+            for name, row in zip(queries.names[start:stop], hits):
+                fh.write(
+                    json.dumps(
+                        {"id": name, "concepts": [{"name": c, "score": s} for c, s in row]},
+                        sort_keys=True,
+                    )
+                    + "\n"
                 )
-            hits = retrieval.top_k(index, query, k)
-            fh.write(
-                json.dumps(
-                    {
-                        "id": name,
-                        "concepts": [
-                            {"name": c, "score": s} for c, s in hits
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
     print(f"retrieve: wrote top-{k} concepts for {queries.n} queries to {out}")
 
 
@@ -324,9 +328,12 @@ def _read_concept_map(path: str) -> dict[str, list[str]]:
                 continue
             try:
                 obj = json.loads(line)
-                mapping[obj["id"]] = list(obj["concept_names"])
+                pair_id, names = obj["id"], list(obj["concept_names"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: bad pair row on line {lineno}: {exc}") from exc
+            if pair_id in mapping:
+                raise ValueError(f"{path}: line {lineno}: duplicate id {pair_id!r}")
+            mapping[pair_id] = names
     if not mapping:
         raise ValueError(f"{path}: no pairs found")
     return mapping

@@ -15,7 +15,12 @@ class TripleLoadError(KnowfuseError):
 
 
 class CorruptionError(KnowfuseError):
-    """Negative sampling could not find a filtered corruption in time."""
+    """Negative sampling found no filtered corruption: every candidate is a
+    known true triple."""
+
+
+class NonFiniteScoreError(KnowfuseError):
+    """A model scored a link-prediction query as NaN or infinity."""
 
 
 class StoreFormatError(KnowfuseError):

@@ -99,8 +99,12 @@ class KnowledgeGraph:
 
 
 def _strip_uri(token: str) -> str:
-    """Final path segment of a ConceptNet-style URI, or the token itself."""
+    """The term of a ConceptNet concept URI, `/c/<lang>/<term>[/<pos>/...]`,
+    the final path segment of any other URI, or the token itself."""
     token = token.strip()
+    parts = token.split("/")
+    if len(parts) > 3 and parts[:2] == ["", "c"] and parts[3]:
+        return parts[3]
     if "/" in token:
         token = token.rstrip("/").rsplit("/", 1)[-1]
     return token
@@ -189,8 +193,10 @@ def corrupt(
     """Corrupt one side of a triple into a filtered negative.
 
     Resamples an entity uniformly until the result differs from the input on
-    the chosen side and is not a known true triple. Raises CorruptionError
-    when max_attempts uniform draws all fail.
+    the chosen side and is not a known true triple. When max_attempts uniform
+    draws all fail, as they can for a hub entity in a dense graph, one draw
+    from the explicit list of filtered candidates decides. Raises
+    CorruptionError only when no candidate exists.
     """
     if side not in (HEAD, TAIL):
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
@@ -210,10 +216,19 @@ def corrupt(
         if key in kg.known_set:
             continue
         return Triple(*key)
-    raise CorruptionError(
-        f"no filtered corruption found for {triple} on {side} "
-        f"after {max_attempts} attempts"
-    )
+
+    def corrupted(e: int) -> Triple:
+        if side == HEAD:
+            return Triple(e, triple.relation, triple.tail)
+        return Triple(triple.head, triple.relation, e)
+
+    free = [e for e in range(n) if e != original and corrupted(e).as_tuple() not in kg.known_set]
+    if not free:
+        raise CorruptionError(
+            f"no filtered corruption exists for {triple} on {side}: "
+            f"every other entity forms a known triple"
+        )
+    return corrupted(free[int(rng.integers(0, len(free)))])
 
 
 def holdout_split(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteScoreError
 from .kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt
 
 KINDS = ("transe", "rotate", "distmult")
@@ -328,34 +329,45 @@ def link_predict_eval(
     Every held-out triple contributes a tail query and a head query. For a
     tail query the true tail is ranked against all entities by score, with
     candidates that form other known true triples (graph plus held-out set)
-    removed. rank = 1 + number of surviving candidates scoring strictly
-    higher. Head queries are symmetric.
+    removed. The rank is the expected rank under random tie-breaking:
+    1 + surviving candidates scoring strictly higher + half the surviving
+    candidates scoring exactly the same, so a model that scores everything
+    alike ranks in the middle, not first. hits@k counts ranks <= k. Head
+    queries are symmetric. Raises NonFiniteScoreError, naming the held-out
+    triple, when a query has a NaN or infinite score.
     """
     if not heldout:
         raise ValueError("heldout set is empty")
     for t in heldout:
         model._check_triple(t)
 
-    known = set(kg.known_set)
-    known.update(t.as_tuple() for t in heldout)
+    # Known completions of each (head, relation) and (relation, tail) query,
+    # the true entity among them: the filter removes them all at once.
+    known_tails: dict[tuple[int, int], list[int]] = {}
+    known_heads: dict[tuple[int, int], list[int]] = {}
+    for h, r, tl in kg.known_set.union(t.as_tuple() for t in heldout):
+        known_tails.setdefault((h, r), []).append(tl)
+        known_heads.setdefault((r, tl), []).append(h)
 
-    ranks: list[int] = []
+    ranks: list[float] = []
     for t in heldout:
         for side in (TAIL, HEAD):
             scores = _score_against_all(model, t, side)
-            true_id = t.tail if side == TAIL else t.head
-            true_score = scores[true_id]
-            better = scores > true_score
-            for e in np.nonzero(better)[0]:
-                e = int(e)
-                if e == true_id:
-                    continue
-                key = (
-                    (t.head, t.relation, e) if side == TAIL else (e, t.relation, t.tail)
+            if not np.isfinite(scores).all():
+                labels = kg.entity_vocab.label, kg.relation_vocab.label
+                raise NonFiniteScoreError(
+                    f"non-finite score in the {side} query of held-out triple "
+                    f"({labels[0](t.head)}, {labels[1](t.relation)}, {labels[0](t.tail)})"
                 )
-                if key in known:
-                    better[e] = False
-            ranks.append(1 + int(np.count_nonzero(better)))
+            if side == TAIL:
+                true_score = scores[t.tail]
+                known = scores[known_tails[(t.head, t.relation)]]
+            else:
+                true_score = scores[t.head]
+                known = scores[known_heads[(t.relation, t.tail)]]
+            better = np.count_nonzero(scores > true_score) - np.count_nonzero(known > true_score)
+            ties = np.count_nonzero(scores == true_score) - np.count_nonzero(known == true_score)
+            ranks.append(1.0 + better + ties / 2.0)
 
     ranks_arr = np.asarray(ranks, dtype=np.float64)
     return LinkPredictionResult(

@@ -188,8 +188,8 @@ class CampaignRecord:
             raise ValueError(f"record {self.id}: multimodal_vec must be 1-d")
         if not np.isfinite(self.multimodal_vec).all():
             raise ValueError(f"record {self.id}: non-finite multimodal_vec")
-        if self.label not in (0, 1):
-            raise ValueError(f"record {self.id}: label must be 0 or 1")
+        if isinstance(self.label, (bool, np.bool_)) or self.label not in (0, 1):
+            raise ValueError(f"record {self.id}: label must be 0 or 1, got {self.label!r}")
 
 
 def records_to_store(records: list[CampaignRecord]) -> EmbeddingStore:
@@ -239,9 +239,15 @@ def read_records_jsonl(
                 rec_id = obj["id"]
                 vec_name = obj["vec_name"]
                 concept_names = obj["concept_names"]
-                label = int(obj["label"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                label = obj["label"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: bad record on line {lineno}: {exc}") from exc
+            # Only the JSON integers 0 and 1: int() would also turn 1.7,
+            # true and "1" into labels.
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(
+                    f"{path}: line {lineno}: label must be the integer 0 or 1, got {label!r}"
+                )
             if vec_name not in mm_store:
                 raise ValueError(
                     f"{path}: line {lineno}: vec_name {vec_name!r} not in store"
@@ -296,6 +302,11 @@ class SynthConfig:
             raise ValueError("n_concepts must be an even number >= 4")
         if self.concepts_per_record < 1:
             raise ValueError("concepts_per_record must be >= 1")
+        # A negative separation would swap the two class clusters.
+        if not (np.isfinite(self.cluster_separation) and self.cluster_separation >= 0.0):
+            raise ValueError(
+                f"cluster_separation must be finite and >= 0, got {self.cluster_separation}"
+            )
 
 
 def synth_dataset(cfg: SynthConfig) -> tuple[list[CampaignRecord], EmbeddingStore]:

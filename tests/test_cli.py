@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from knowfuse import retrieval
 from knowfuse.cli import derive_seed, main
 from knowfuse.fusion import FusionConfig, load_checkpoint
 from knowfuse.kge import KgeTrainConfig
@@ -217,6 +218,49 @@ class TestRetrieve:
         ]
         assert main(argv) == 1
 
+    def test_blocks_match_per_query_search(self, retrieval_files, tmp_path, monkeypatch):
+        # a budget of 5 rows of 12 scores streams the 4 queries in blocks of 5,
+        # and a budget of 1 row in blocks of 1
+        concepts = read_store(retrieval_files["concepts"])
+        index = retrieval.ConceptIndex(concepts)
+        text = read_store(retrieval_files["queries"])
+        captions = read_store(retrieval_files["captions"])
+        want = [
+            retrieval.top_k(index, retrieval.combine_text_caption(t, c), 4)
+            for t, c in zip(text.vectors, captions.vectors)
+        ]
+        for rows in (5, 1):
+            monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * 12 * rows)
+            out = tmp_path / f"out{rows}"
+            argv = [
+                "retrieve", "--concepts", str(retrieval_files["concepts"]),
+                "--queries", str(retrieval_files["queries"]),
+                "--caption-queries", str(retrieval_files["captions"]),
+                "--k", "4", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            rows_out = _read_jsonl(out / "retrieved.jsonl")
+            assert [r["id"] for r in rows_out] == text.names
+            for r, hits in zip(rows_out, want):
+                assert [c["name"] for c in r["concepts"]] == [n for n, _ in hits]
+                np.testing.assert_allclose(
+                    [c["score"] for c in r["concepts"]], [s for _, s in hits], atol=1e-12
+                )
+
+    def test_zero_query_names_its_row(self, retrieval_files, tmp_path, capsys, monkeypatch):
+        queries = read_store(retrieval_files["queries"])
+        vecs = queries.vectors.copy()
+        vecs[2] = 0.0
+        path = tmp_path / "zero.emb"
+        write_store(EmbeddingStore(dim=6, names=queries.names, vectors=vecs), path)
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * 12 * 2)
+        argv = [
+            "retrieve", "--concepts", str(retrieval_files["concepts"]),
+            "--queries", str(path), "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert "queries 2 to 3 (row 0 is 'q2'): query row 0 has zero norm" in capsys.readouterr().err
+
     def test_missing_store_exits_two(self, retrieval_files, tmp_path):
         argv = [
             "retrieve", "--concepts", str(tmp_path / "none.emb"),
@@ -396,6 +440,19 @@ class TestCongruence:
             outs.append(out)
         for name in ("congruence.json", "pairs.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_duplicate_pair_id_exits_one(self, modality_files, tmp_path, capsys):
+        pairs = modality_files["pairs"]
+        with pairs.open("a") as fh:
+            fh.write(json.dumps({"id": "pair3", "concept_names": ["c1"]}) + "\n")
+        argv = [
+            "congruence", "--text-store", str(modality_files["text"]),
+            "--image-store", str(modality_files["image"]),
+            "--concept-store", str(modality_files["concepts"]),
+            "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert "line 9: duplicate id 'pair3'" in capsys.readouterr().err
 
     def test_pairs_without_concepts_exits_one(self, modality_files, tmp_path):
         argv = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from knowfuse import kge
 from knowfuse.errors import CorruptionError, TripleLoadError
 from knowfuse.kg import (
     HEAD,
@@ -78,6 +79,17 @@ class TestLoadTriples:
         assert kg.relation_vocab.labels == ["RelatedTo", "IsA"]
         assert kg.triples[0] == Triple(0, 0, 1)
 
+    def test_conceptnet_part_of_speech_suffix_keeps_term(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "/r/IsA,/c/en/dog/n,/c/en/animal/n/wn/animal\n"
+            "/r/IsA,/c/en/cat/n,/c/en/concept_00123\n"
+        )
+        kg = load_triples(path, fmt="conceptnet-csv")
+        assert kg.entity_vocab.labels == ["dog", "animal", "cat", "concept_00123"]
+        assert kg.relation_vocab.labels == ["IsA"]
+        assert len(kg.triples) == 2
+
     def test_conceptnet_tab_separated_variant(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("/r/IsA\t/c/en/dog\t/c/en/animal\n")
@@ -119,6 +131,40 @@ class TestCorrupt:
     def test_invalid_side(self, toy_graph):
         with pytest.raises(ValueError, match="side"):
             corrupt(toy_graph.triples[0], "left", np.random.default_rng(0), toy_graph)
+
+    def test_explicit_complement_after_failed_draws(self, toy_graph):
+        # with no uniform draws the fallback alone picks the negative
+        t = toy_graph.triples[0]
+        for side in (HEAD, TAIL):
+            rng = np.random.default_rng(3)
+            negs = {corrupt(t, side, rng, toy_graph, max_attempts=0) for _ in range(200)}
+            assert all(n.as_tuple() not in toy_graph.known_set for n in negs)
+            assert len(negs) > 1
+            again = corrupt(t, side, np.random.default_rng(3), toy_graph, max_attempts=0)
+            assert again == corrupt(t, side, np.random.default_rng(3), toy_graph, max_attempts=0)
+
+    def test_dense_hub_trains(self, tmp_path, monkeypatch):
+        # 200 of the 211 entities are tails of (hub, r): a uniform draw finds
+        # a filtered tail for it 11 times in 211, and 100 draws fail often
+        # enough over a few epochs
+        rows = [("hub", "r", f"t{i}") for i in range(200)]
+        rows += [(f"o{i}", "s", f"o{i + 1}") for i in range(9)]
+        rows += [("o0", "s", "hub")]
+        kg = load_triples(write_tsv(rows, tmp_path / "hub.tsv"))
+        assert kg.num_entities == 211
+        negatives = []
+
+        def recording(triple, side, rng, graph, max_attempts=100):
+            neg = corrupt(triple, side, rng, graph, max_attempts)
+            negatives.append(neg)
+            return neg
+
+        monkeypatch.setattr(kge, "corrupt", recording)
+        cfg = kge.KgeTrainConfig(kind="transe", dim=8, epochs=10, seed=0, learning_rate=0.01)
+        _, trace = kge.train(kg, cfg)
+        assert len(trace) == 10
+        assert len(negatives) == 10 * len(kg.triples)
+        assert not any(n.as_tuple() in kg.known_set for n in negatives)
 
     def test_saturated_graph_raises(self, tmp_path):
         # every (h, r, t) combination is a known edge, so no negative exists

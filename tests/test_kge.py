@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from knowfuse.errors import NonFiniteScoreError
 from knowfuse.kg import Triple, holdout_split
 from knowfuse.kge import (
     KgeModel,
@@ -315,7 +316,9 @@ class TestTrain:
 
 
 def _naive_link_eval(model, kg, heldout, ks):
-    """Rank oracle: per-candidate scalar scoring with the same filter."""
+    """Rank oracle: per-candidate scalar scoring with the same filter; a tie
+    with the true entity counts half, its expected share under random
+    tie-breaking."""
     known = {t.as_tuple() for t in kg.triples} | {t.as_tuple() for t in heldout}
     ranks = []
     for t in heldout:
@@ -335,6 +338,8 @@ def _naive_link_eval(model, kg, heldout, ks):
                     continue
                 if score(model, cand) > true_score:
                     rank += 1
+                elif score(model, cand) == true_score:
+                    rank += 0.5
             ranks.append(rank)
     arr = np.asarray(ranks, dtype=np.float64)
     return arr.mean(), {k: float(np.mean(arr <= k)) for k in ks}, len(ranks)
@@ -377,3 +382,31 @@ class TestLinkPrediction:
         res = link_predict_eval(model, train_kg, heldout)
         assert res.hits_at[1] == 1.0
         assert res.mean_rank == 1.0
+
+    def test_constant_model_ranks_in_the_middle(self, toy_graph):
+        # all-zero DistMult scores every candidate 0: each query's rank is 1
+        # plus half its filtered candidates, not 1
+        train_kg, heldout = holdout_split(toy_graph, 10, seed=5)
+        model = _model("distmult", np.zeros((20, 4)), np.zeros((2, 4)))
+        res = link_predict_eval(model, train_kg, heldout, ks=(1, 10))
+        known = toy_graph.known_set
+        want = []
+        for t in heldout:
+            tails = sum((t.head, t.relation, e) in known for e in range(20))
+            heads = sum((e, t.relation, t.tail) in known for e in range(20))
+            want += [1.0 + (20 - tails) / 2.0, 1.0 + (20 - heads) / 2.0]
+        assert res.mean_rank == pytest.approx(np.mean(want), rel=1e-12)
+        assert res.mean_rank > 5.0
+        assert res.hits_at == {1: 0.0, 10: float(np.mean(np.asarray(want) <= 10))}
+        oracle_mean, oracle_hits, _ = _naive_link_eval(model, train_kg, heldout, (1, 10))
+        assert res.mean_rank == pytest.approx(oracle_mean, rel=1e-12)
+        assert res.hits_at == oracle_hits
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_raise(self, toy_graph, bad):
+        train_kg, heldout = holdout_split(toy_graph, 10, seed=5)
+        model = _model("distmult", np.full((20, 4), bad), np.ones((2, 4)))
+        t = heldout[0]
+        label = toy_graph.entity_vocab.label
+        with pytest.raises(NonFiniteScoreError, match=f"held-out triple \\({label(t.head)}, "):
+            link_predict_eval(model, train_kg, heldout)

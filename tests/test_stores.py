@@ -159,6 +159,11 @@ class TestCampaignRecord:
         with pytest.raises(ValueError, match="label"):
             CampaignRecord("r", np.zeros(3), [0], label=2)
 
+    @pytest.mark.parametrize("label", [True, False, np.True_])
+    def test_bool_label_rejected(self, label):
+        with pytest.raises(ValueError, match="label"):
+            CampaignRecord("r", np.zeros(3), [0], label=label)
+
     def test_vec_must_be_1d(self):
         with pytest.raises(ValueError, match="1-d"):
             CampaignRecord("r", np.zeros((2, 2)), [0], label=0)
@@ -199,6 +204,20 @@ class TestRecordsJsonl:
         lines[3] = "{not json"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 4"):
+            read_records_jsonl(path, mm_store, concept_store)
+
+    @pytest.mark.parametrize("label", [1.7, 1.0, True, "1", None, 2])
+    def test_label_must_be_json_integer_0_or_1(self, tmp_path, label):
+        records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
+        mm_store = records_to_store(records)
+        path = tmp_path / "bad.jsonl"
+        write_records_jsonl(records, concept_store, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["label"] = label
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3: label"):
             read_records_jsonl(path, mm_store, concept_store)
 
     def test_unknown_vec_name(self, tmp_path):
@@ -243,6 +262,11 @@ class TestSynthConfig:
             SynthConfig(concept_signal_strength=1.5)
         with pytest.raises(ValueError):
             SynthConfig(n_concepts=7)
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, np.nan, np.inf, -np.inf])
+    def test_cluster_separation_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="cluster_separation"):
+            SynthConfig(cluster_separation=value)
 
 
 class TestSynthDataset:
