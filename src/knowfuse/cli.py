@@ -364,10 +364,11 @@ def cmd_congruence(args) -> None:
         knowledge_vecs=knowledge,
         ids=list(text_store.names),
     )
-    rep = cong.report(pairs)
+    augmented = cong.augment_with_knowledge(pairs) if knowledge is not None else None
+    rep = cong.report(pairs, augmented)
     out = _out_dir(args)
     _write_json(rep.to_dict(), out / "congruence.json")
-    cong.write_pair_csv(pairs, out / "pairs.csv")
+    cong.write_pair_csv(pairs, out / "pairs.csv", augmented)
     line = (
         f"congruence: centroid_distance={rep.centroid_distance:.6f} "
         f"mean_cosine={rep.mean_pairwise_cosine:.6f}"

@@ -149,9 +149,9 @@ def _histogram(cosines: np.ndarray) -> tuple[list[float], list[int]]:
     return edges.tolist(), counts.tolist()
 
 
-def report(pairs: ModalityPairSet) -> CongruenceReport:
+def report(pairs: ModalityPairSet, augmented: ModalityPairSet | None = None) -> CongruenceReport:
     """Congruence summary, with and (when knowledge is present) without
-    knowledge augmentation.
+    knowledge augmentation, which the caller may pass in as `augmented`.
 
     relative_similarity_change = (cos_with - cos_without) / |cos_without|
     on the mean pairwise cosine.
@@ -167,7 +167,8 @@ def report(pairs: ModalityPairSet) -> CongruenceReport:
         histogram_counts=counts,
     )
     if pairs.knowledge_vecs is not None:
-        augmented = augment_with_knowledge(pairs)
+        if augmented is None:
+            augmented = augment_with_knowledge(pairs)
         cos_with = pairwise_cosines(augmented)
         _, counts_with = _histogram(cos_with)
         rep.centroid_distance_with = _centroid_distance(augmented)
@@ -184,11 +185,14 @@ def report(pairs: ModalityPairSet) -> CongruenceReport:
     return rep
 
 
-def write_pair_csv(pairs: ModalityPairSet, path: str | Path) -> None:
-    """Per-pair cosine CSV: pair_id, cos_without, cos_with."""
+def write_pair_csv(pairs: ModalityPairSet, path: str | Path,
+                   augmented: ModalityPairSet | None = None) -> None:
+    """Per-pair cosine CSV: pair_id, cos_without, cos_with; `augmented` as for report."""
     cos_without = pairwise_cosines(pairs)
     if pairs.knowledge_vecs is not None:
-        cos_with = pairwise_cosines(augment_with_knowledge(pairs))
+        if augmented is None:
+            augmented = augment_with_knowledge(pairs)
+        cos_with = pairwise_cosines(augmented)
     else:
         cos_with = None
     with Path(path).open("w", encoding="utf-8", newline="") as fh:

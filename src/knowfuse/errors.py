@@ -23,6 +23,10 @@ class NonFiniteScoreError(KnowfuseError):
     """A model scored a link-prediction query as NaN or infinity."""
 
 
+class TrainingDivergedError(KnowfuseError):
+    """A trainer's loss became NaN or infinite."""
+
+
 class StoreFormatError(KnowfuseError):
     """Base class for binary store and checkpoint format problems."""
 

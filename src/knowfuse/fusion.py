@@ -31,6 +31,7 @@ from .errors import (
     BadMagicError,
     NonFiniteError,
     StoreFormatError,
+    TrainingDivergedError,
     TruncatedStoreError,
 )
 from .stores import CampaignRecord, EmbeddingStore
@@ -413,12 +414,16 @@ def train_classifier(
         order = rng.permutation(len(records))
         epoch_loss = 0.0
         lr = 0.0
-        for idx in _batch_plan(ks, order, cfg.batch_size):
+        for batch, idx in enumerate(_batch_plan(ks, order, cfg.batch_size), start=1):
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
             x, kg, ids, batch_labels = _gather(records, concepts, idx)
             logits, trace = forward(net, x, kg)
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError(
+                    f"fusion: non-finite loss in epoch {epoch + 1}, batch {batch}"
+                )
             grads, d_kg = backward(net, trace, batch_labels)
             params = net.params()
             for name in net.PARAM_NAMES:

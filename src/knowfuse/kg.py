@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,28 @@ class KnowledgeGraph:
             relation_vocab=self.relation_vocab,
             known_set=frozenset(t.as_tuple() for t in triples),
         )
+
+    def triple_keys(self, ids) -> np.ndarray:
+        """int64 key (head * R + relation) * N + tail of each row of an [n, 3]
+        id array, for N entities and R relations: keys sort as their rows do."""
+        n, r = self.num_entities, self.num_relations
+        if n * n * max(r, 1) >= 2**63:
+            raise ValueError(f"{n} entities and {r} relations overflow int64 triple keys")
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+        return (ids[:, 0] * r + ids[:, 1]) * n + ids[:, 2]
+
+    @cached_property
+    def known_keys(self) -> np.ndarray:
+        """Sorted keys of known_set."""
+        return np.sort(self.triple_keys(list(self.known_set)))
+
+    def is_known(self, ids) -> np.ndarray:
+        """Whether each row of an [n, 3] id array is a known triple."""
+        keys, known = self.triple_keys(ids), self.known_keys
+        at = np.searchsorted(known, keys)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == keys[hit]
+        return hit
 
 
 def _strip_uri(token: str) -> str:
@@ -197,38 +220,42 @@ def corrupt(
     draws all fail, as they can for a hub entity in a dense graph, one draw
     from the explicit list of filtered candidates decides. Raises
     CorruptionError only when no candidate exists.
+
+    `triple` may also be an [B, 3] id array, with `side` an array of B sides:
+    each round draws for every row still rejected, and the B negatives come
+    back as an array. For B = 1 the draws are those of the single form.
     """
-    if side not in (HEAD, TAIL):
-        raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+    if isinstance(triple, Triple):
+        if side not in (HEAD, TAIL):
+            raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+        row = corrupt(np.array([triple.as_tuple()]), np.array([side]), rng, kg, max_attempts)
+        return Triple(*row[0].tolist())
     n = kg.num_entities
     if n < 2:
         raise ValueError("corruption needs at least 2 entities")
-
-    original = triple.head if side == HEAD else triple.tail
+    sides = np.asarray(side)
+    if not ((sides == HEAD) | (sides == TAIL)).all():
+        raise ValueError("every side must be 'head' or 'tail'")
+    ids = np.asarray(triple, dtype=np.int64)
+    out, col, todo = ids.copy(), np.where(sides == HEAD, 0, 2), np.arange(len(ids))
+    original = ids[todo, col]
     for _ in range(max_attempts):
-        candidate = int(rng.integers(0, n))
-        if candidate == original:
-            continue
-        if side == HEAD:
-            key = (candidate, triple.relation, triple.tail)
-        else:
-            key = (triple.head, triple.relation, candidate)
-        if key in kg.known_set:
-            continue
-        return Triple(*key)
-
-    def corrupted(e: int) -> Triple:
-        if side == HEAD:
-            return Triple(e, triple.relation, triple.tail)
-        return Triple(triple.head, triple.relation, e)
-
-    free = [e for e in range(n) if e != original and corrupted(e).as_tuple() not in kg.known_set]
-    if not free:
-        raise CorruptionError(
-            f"no filtered corruption exists for {triple} on {side}: "
-            f"every other entity forms a known triple"
-        )
-    return corrupted(free[int(rng.integers(0, len(free)))])
+        if not todo.size:
+            break
+        candidates = rng.integers(0, n, size=todo.size)
+        out[todo, col[todo]] = candidates
+        todo = todo[(candidates == original[todo]) | kg.is_known(out[todo])]
+    for i in todo.tolist():  # every draw failed: the explicit complement decides
+        every = np.repeat(ids[i : i + 1], n, axis=0)
+        every[:, col[i]] = np.arange(n)
+        free = np.flatnonzero((every[:, col[i]] != original[i]) & ~kg.is_known(every))
+        if not free.size:
+            raise CorruptionError(
+                f"no filtered corruption exists for {Triple(*ids[i].tolist())} on {sides[i]}: "
+                f"every other entity forms a known triple"
+            )
+        out[i] = every[free[rng.integers(0, free.size)]]
+    return out
 
 
 def holdout_split(

@@ -11,8 +11,9 @@ Training minimises the margin ranking loss
 
     L = max(0, margin - f(pos) + f(neg))
 
-with plain SGD over filtered negatives, one update per (positive, negative)
-pair. All gradients are hand derived; training runs in float64.
+with minibatch SGD over filtered negatives. All gradients are hand derived;
+training runs in float64. One kernel per score function scores a batch of
+index triples with their row gradients; ranking uses its one-product form.
 
 RotatE layout: an entity row of even length k is read as k/2 complex numbers
 in interleaved (re, im) pairs, i.e. row.reshape(k // 2, 2). A relation row
@@ -23,16 +24,34 @@ flavour coincides with the flat 2*(k/2)-component Euclidean norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteScoreError
+from .errors import NonFiniteScoreError, TrainingDivergedError
 from .kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt
 
 KINDS = ("transe", "rotate", "distmult")
 
 # Sparse gradient rows are keyed ("e", entity_id) or ("r", relation_id).
 GradSet = dict[tuple[str, int], np.ndarray]
+
+# Bytes of one float64 block of link-prediction scores (queries x entities).
+SCORE_BLOCK_BYTES = 512 * 1024
+
+# (positive, negative) pairs per SGD step.
+BATCH_SIZE = 32
+
+
+class BatchGrad(NamedTuple):
+    """Each pair's hinge loss, and the rows the active pairs use (repeats
+    included) beside their gradients, to be summed by scatter."""
+
+    losses: np.ndarray
+    entity_rows: np.ndarray
+    entity_grads: np.ndarray
+    relation_rows: np.ndarray
+    relation_grads: np.ndarray
 
 
 @dataclass
@@ -107,46 +126,45 @@ def init_model(cfg: KgeTrainConfig, n_entities: int, n_relations: int) -> KgeMod
     )
 
 
-def _vec_norm(v: np.ndarray, norm: str) -> float:
-    if norm == "l1":
-        return float(np.sum(np.abs(v)))
-    return float(np.linalg.norm(v))
+def _rotate(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Interleaved (re, im) rows times cos + i*sin per component: [n, k/2, 2]."""
+    re, im = rows.reshape(len(rows), -1, 2).transpose(2, 0, 1)
+    return np.stack([re * cos - im * sin, re * sin + im * cos], axis=-1)
 
 
-def _rotate_parts(model: KgeModel, t: Triple):
-    """Split out the complex pieces used by both score and grad."""
-    half = model.dim // 2
-    h = model.entity_emb[t.head].reshape(half, 2)
-    tl = model.entity_emb[t.tail].reshape(half, 2)
-    theta = model.relation_emb[t.relation]
-    cos, sin = np.cos(theta), np.sin(theta)
-    rot_re = h[:, 0] * cos - h[:, 1] * sin
-    rot_im = h[:, 0] * sin + h[:, 1] * cos
-    d_re = rot_re - tl[:, 0]
-    d_im = rot_im - tl[:, 1]
-    return h, cos, sin, rot_re, rot_im, d_re, d_im
+def _kernel(model: KgeModel, h, r, t, grads: bool = True):
+    """Scores of the triples (h[i], r[i], t[i]) and, with grads, d score /
+    d (head row, relation row, tail row) of each; for rotate, the relation
+    gradient is by phase angle. A norm (for L1, a modulus) below 1e-15 gets
+    the zero subgradient.
+    """
+    head, rel, tail = model.entity_emb[h], model.relation_emb[r], model.entity_emb[t]
+    if model.kind == "distmult":
+        hr = head * rel
+        return np.sum(hr * tail, axis=1), ((rel * tail, head * tail, hr) if grads else None)
+    if model.kind == "transe":
+        d = (head + rel - tail)[:, :, None]  # one real component per modulus
+    else:
+        cos, sin = np.cos(rel), np.sin(rel)
+        rot = _rotate(head, cos, sin)
+        d = rot - tail.reshape(rot.shape)  # one complex component per modulus
+    sq = np.sum(d * d, axis=2, keepdims=True)
+    norm = np.sqrt(sq if model.norm == "l1" else np.sum(sq, axis=1, keepdims=True))
+    scores = -np.sum(norm, axis=(1, 2))
+    if not grads:
+        return scores, None
+    flat = norm < 1e-15
+    g = np.where(flat, 0.0, -d / np.where(flat, 1.0, norm))  # d score / d d
+    if model.kind == "transe":
+        return scores, (g[:, :, 0], g[:, :, 0], -g[:, :, 0])
+    g_theta = g[..., 1] * rot[..., 0] - g[..., 0] * rot[..., 1]
+    return scores, (_rotate(g, cos, -sin).reshape(len(g), -1), g_theta, -g.reshape(len(g), -1))
 
 
 def score(model: KgeModel, t: Triple) -> float:
     """Plausibility score of one triple; higher means more plausible."""
     model._check_triple(t)
-    if model.kind == "transe":
-        d = model.entity_emb[t.head] + model.relation_emb[t.relation] - model.entity_emb[t.tail]
-        return -_vec_norm(d, model.norm)
-    if model.kind == "distmult":
-        return float(
-            np.sum(
-                model.entity_emb[t.head]
-                * model.relation_emb[t.relation]
-                * model.entity_emb[t.tail]
-            )
-        )
-    # rotate
-    _, _, _, _, _, d_re, d_im = _rotate_parts(model, t)
-    moduli_sq = d_re * d_re + d_im * d_im
-    if model.norm == "l1":
-        return -float(np.sum(np.sqrt(moduli_sq)))
-    return -float(np.sqrt(np.sum(moduli_sq)))
+    return float(_kernel(model, [t.head], [t.relation], [t.tail], grads=False)[0][0])
 
 
 def loss_margin(model: KgeModel, positive: Triple, negative: Triple, margin: float) -> float:
@@ -154,161 +172,100 @@ def loss_margin(model: KgeModel, positive: Triple, negative: Triple, margin: flo
     return max(0.0, margin - score(model, positive) + score(model, negative))
 
 
-def _score_grads(model: KgeModel, t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d score / d (head row, relation row, tail row) for one triple.
-
-    For rotate the relation gradient is with respect to the phase angles.
-    At a zero-distance optimum the norm is not differentiable; the zero
-    subgradient is returned there.
-    """
-    if model.kind == "transe":
-        d = model.entity_emb[t.head] + model.relation_emb[t.relation] - model.entity_emb[t.tail]
-        if model.norm == "l1":
-            g = -np.sign(d)
-        else:
-            nrm = np.linalg.norm(d)
-            g = np.zeros_like(d) if nrm < 1e-15 else -d / nrm
-        return g, g.copy(), -g
-
-    if model.kind == "distmult":
-        h = model.entity_emb[t.head]
-        r = model.relation_emb[t.relation]
-        tl = model.entity_emb[t.tail]
-        return r * tl, h * tl, h * r
-
-    # rotate: chain through the rotated difference, per complex component.
-    h, cos, sin, rot_re, rot_im, d_re, d_im = _rotate_parts(model, t)
-    moduli_sq = d_re * d_re + d_im * d_im
-    if model.norm == "l1":
-        m = np.sqrt(moduli_sq)
-        safe = np.where(m < 1e-15, 1.0, m)
-        g_re = np.where(m < 1e-15, 0.0, -d_re / safe)
-        g_im = np.where(m < 1e-15, 0.0, -d_im / safe)
-    else:
-        nrm = np.sqrt(np.sum(moduli_sq))
-        if nrm < 1e-15:
-            g_re = np.zeros_like(d_re)
-            g_im = np.zeros_like(d_im)
-        else:
-            g_re = -d_re / nrm
-            g_im = -d_im / nrm
-
-    gh = np.empty_like(h)
-    gh[:, 0] = g_re * cos + g_im * sin
-    gh[:, 1] = -g_re * sin + g_im * cos
-    gt = np.empty_like(h)
-    gt[:, 0] = -g_re
-    gt[:, 1] = -g_im
-    g_theta = g_re * (-rot_im) + g_im * rot_re
-    return gh.reshape(-1), g_theta, gt.reshape(-1)
-
-
-def _accumulate(grads: GradSet, key: tuple[str, int], value: np.ndarray) -> None:
-    if key in grads:
-        grads[key] = grads[key] + value
-    else:
-        grads[key] = value.copy()
-
-
-def grad(model: KgeModel, positive: Triple, negative: Triple, margin: float) -> GradSet:
+def grad(model: KgeModel, positive, negative, margin: float):
     """Gradient of the margin loss with respect to every touched row.
 
-    Returns a sparse mapping from ("e"|"r", id) to a gradient row, with
-    contributions summed when the positive and negative triples share rows.
-    An inactive hinge yields an empty mapping (the all-zero gradient).
+    For two Triples, a sparse mapping from ("e"|"r", id) to a gradient row,
+    summed over shared rows; an inactive hinge yields an empty mapping. For
+    [B, 3] id arrays of positives and negatives, a BatchGrad of the B pairs.
     """
-    if loss_margin(model, positive, negative, margin) <= 0.0:
-        return {}
-    grads: GradSet = {}
+    if isinstance(positive, Triple):
+        model._check_triple(positive)
+        model._check_triple(negative)
+        g = grad(model, np.array([positive.as_tuple()]), np.array([negative.as_tuple()]), margin)
+        grads: GradSet = {}
+        for space, rows, values in (("e", g.entity_rows, g.entity_grads),
+                                    ("r", g.relation_rows, g.relation_grads)):
+            for row, value in zip(rows.tolist(), values):
+                grads[space, row] = grads.get((space, row), 0.0) + value
+        return grads
+    ids = np.concatenate([positive, negative])
+    scores, (g_h, g_r, g_t) = _kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
+    b = len(positive)
+    hinge = margin - scores[:b] + scores[b:]
+    active = np.tile(hinge > 0.0, 2)
     # L = margin - f(pos) + f(neg), so positive rows get -df, negative rows +df.
-    gh, gr, gt = _score_grads(model, positive)
-    _accumulate(grads, ("e", positive.head), -gh)
-    _accumulate(grads, ("r", positive.relation), -gr)
-    _accumulate(grads, ("e", positive.tail), -gt)
-    gh, gr, gt = _score_grads(model, negative)
-    _accumulate(grads, ("e", negative.head), gh)
-    _accumulate(grads, ("r", negative.relation), gr)
-    _accumulate(grads, ("e", negative.tail), gt)
-    return grads
+    sign = np.repeat([-1.0, 1.0], b)[active, None]
+    ids = ids[active]
+    return BatchGrad(np.maximum(hinge, 0.0), np.concatenate([ids[:, 0], ids[:, 2]]),
+                     np.concatenate([g_h[active] * sign, g_t[active] * sign]),
+                     ids[:, 1], g_r[active] * sign)
 
 
 def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float]]:
-    """SGD over margin-ranked filtered negatives.
+    """Minibatch SGD over margin-ranked filtered negatives.
 
-    Each epoch shuffles the triples, corrupts head or tail with equal
-    probability for every positive, and applies one update per pair. TransE
-    entity rows are renormalised to unit L2 norm after every epoch. Returns
-    the trained model and the per-epoch mean hinge loss trace.
+    Each epoch shuffles the triples into negatives_per_positive consecutive
+    (positive, negative) pairs each. A batch of BATCH_SIZE pairs draws a side
+    (head or tail, equal odds), then a filtered corruption, per pair, and
+    steps by the summed gradients of its active pairs, the step scale of
+    per-pair SGD (a batch of 1). TransE entity rows are renormalised to unit
+    L2 norm after every epoch. Returns the model and the per-epoch mean
+    pre-step hinge loss; raises TrainingDivergedError at the first batch
+    whose loss is NaN or infinite.
     """
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, kg.num_entities, kg.num_relations)
-    trace: list[float] = []
-    n = len(kg.triples)
-
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+    ids = np.array([t.as_tuple() for t in kg.triples], dtype=np.int64).reshape(-1, 3)
+    lr, trace = cfg.learning_rate, []
+    for epoch in range(1, cfg.epochs + 1):
+        pairs = np.repeat(ids[rng.permutation(len(ids))], cfg.negatives_per_positive, axis=0)
         total = 0.0
-        pairs = 0
-        for idx in order:
-            pos = kg.triples[idx]
-            for _ in range(cfg.negatives_per_positive):
-                side = HEAD if rng.random() < 0.5 else TAIL
-                neg = corrupt(pos, side, rng, kg)
-                g = grad(model, pos, neg, cfg.margin)
-                total += loss_margin(model, pos, neg, cfg.margin)
-                pairs += 1
-                for (space, row), gvec in g.items():
-                    if space == "e":
-                        model.entity_emb[row] -= cfg.learning_rate * gvec
-                    else:
-                        model.relation_emb[row] -= cfg.learning_rate * gvec
+        for batch, start in enumerate(range(0, len(pairs), BATCH_SIZE), start=1):
+            pos = pairs[start : start + BATCH_SIZE]
+            sides = np.where(rng.random(len(pos)) < 0.5, HEAD, TAIL)
+            g = grad(model, pos, corrupt(pos, sides, rng, kg), cfg.margin)
+            total += float(np.sum(g.losses))
+            if not np.isfinite(total):
+                raise TrainingDivergedError(
+                    f"kge {cfg.kind}: non-finite loss in epoch {epoch}, batch {batch}"
+                )
+            np.subtract.at(model.entity_emb, g.entity_rows, lr * g.entity_grads)
+            np.subtract.at(model.relation_emb, g.relation_rows, lr * g.relation_grads)
         if cfg.kind == "transe":
             norms = np.linalg.norm(model.entity_emb, axis=1, keepdims=True)
             np.divide(model.entity_emb, norms, out=model.entity_emb, where=norms > 0)
-        trace.append(total / max(pairs, 1))
+        trace.append(total / max(len(pairs), 1))
     return model, trace
 
 
-def _score_against_all(model: KgeModel, t: Triple, side: str) -> np.ndarray:
-    """Scores of (h, r, e) over all entities e (side='tail') or (e, r, t)
-    over all entities (side='head'), vectorised per kind."""
-    ent = model.entity_emb
-    if model.kind == "transe":
-        r = model.relation_emb[t.relation]
-        if side == TAIL:
-            diffs = (ent[t.head] + r)[None, :] - ent
-        else:
-            diffs = ent + r[None, :] - ent[t.tail][None, :]
-        if model.norm == "l1":
-            return -np.sum(np.abs(diffs), axis=1)
-        return -np.linalg.norm(diffs, axis=1)
-
+def _query_scores(model: KgeModel, ids, side: str, table, sq_norms) -> np.ndarray:
+    """Scores [Q, rows] of a block of tail (or head) queries against the
+    entity rows in table, one product per block; L1 norms, which have no
+    product form, score every entity through the kernel instead."""
+    ent, rel = model.entity_emb, model.relation_emb
+    h, r, t = ids.T
     if model.kind == "distmult":
-        r = model.relation_emb[t.relation]
-        if side == TAIL:
-            return ent @ (ent[t.head] * r)
-        return ent @ (r * ent[t.tail])
-
-    half = model.dim // 2
-    theta = model.relation_emb[t.relation]
-    cos, sin = np.cos(theta), np.sin(theta)
-    pairs = ent.reshape(-1, half, 2)
-    if side == TAIL:
-        h = model.entity_emb[t.head].reshape(half, 2)
-        rot_re = h[:, 0] * cos - h[:, 1] * sin
-        rot_im = h[:, 0] * sin + h[:, 1] * cos
-        d_re = rot_re[None, :] - pairs[:, :, 0]
-        d_im = rot_im[None, :] - pairs[:, :, 1]
-    else:
-        tl = model.entity_emb[t.tail].reshape(half, 2)
-        rot_re = pairs[:, :, 0] * cos[None, :] - pairs[:, :, 1] * sin[None, :]
-        rot_im = pairs[:, :, 0] * sin[None, :] + pairs[:, :, 1] * cos[None, :]
-        d_re = rot_re - tl[None, :, 0]
-        d_im = rot_im - tl[None, :, 1]
-    moduli_sq = d_re * d_re + d_im * d_im
+        return (ent[h] * rel[r] if side == TAIL else rel[r] * ent[t]) @ table.T
     if model.norm == "l1":
-        return -np.sum(np.sqrt(moduli_sq), axis=1)
-    return -np.sqrt(np.sum(moduli_sq, axis=1))
+        n = len(ent)
+        every = np.tile(np.arange(n), len(ids))
+        heads, tails = (np.repeat(h, n), every) if side == TAIL else (every, np.repeat(t, n))
+        return _kernel(model, heads, np.repeat(r, n), tails, grads=False)[0].reshape(-1, n)
+    if model.kind == "transe":
+        x = ent[h] + rel[r] if side == TAIL else ent[t] - rel[r]
+    else:  # a rotation is unitary: ||h o r - t|| = ||h - t o conj(r)||
+        cos, sin = np.cos(rel[r]), np.sin(rel[r])
+        x = _rotate(ent[h], cos, sin) if side == TAIL else _rotate(ent[t], cos, -sin)
+        x = x.reshape(len(ids), -1)
+    # ||x - e||^2 = ||x||^2 + ||e||^2 - 2 x.e, clamped at 0 against rounding
+    out = x @ table.T
+    out *= -2.0
+    out += np.einsum("ij,ij->i", x, x)[:, None]
+    out += sq_norms
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    return np.negative(out, out=out)
 
 
 @dataclass
@@ -333,45 +290,66 @@ def link_predict_eval(
     1 + surviving candidates scoring strictly higher + half the surviving
     candidates scoring exactly the same, so a model that scores everything
     alike ranks in the middle, not first. hits@k counts ranks <= k. Head
-    queries are symmetric. Raises NonFiniteScoreError, naming the held-out
-    triple, when a query has a NaN or infinite score.
+    queries are symmetric. Blocks of queries fit SCORE_BLOCK_BYTES. Raises
+    NonFiniteScoreError, naming the held-out triple, when a query has a NaN
+    or infinite score.
     """
     if not heldout:
         raise ValueError("heldout set is empty")
     for t in heldout:
         model._check_triple(t)
+    held = np.array([t.as_tuple() for t in heldout], dtype=np.int64)
+    n, n_rel = kg.num_entities, kg.num_relations
+    # The known triples (graph plus held-out set) keyed in (h, r, t) and in
+    # (t, r, h) order: a query's known completions are one run of keys,
+    # listed as (query, entity) pairs grouped by query.
+    keys = np.sort(np.concatenate([kg.known_keys, kg.triple_keys(held)]))
+    heads, rels, tails = keys // n // n_rel, keys // n % n_rel, keys % n
+    by_tail = np.sort(kg.triple_keys(np.c_[tails, rels, heads]))
+    known = []
+    for keys, query in ((keys, held), (by_tail, held[:, ::-1])):
+        first = kg.triple_keys(query) - query[:, 2]
+        lo = np.searchsorted(keys, first)
+        count = np.searchsorted(keys, first + n) - lo
+        ptr = np.concatenate([[0], np.cumsum(count)])
+        at = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], count)
+        known.append((np.repeat(np.arange(len(query)), count), keys[at] % n, ptr))
 
-    # Known completions of each (head, relation) and (relation, tail) query,
-    # the true entity among them: the filter removes them all at once.
-    known_tails: dict[tuple[int, int], list[int]] = {}
-    known_heads: dict[tuple[int, int], list[int]] = {}
-    for h, r, tl in kg.known_set.union(t.as_tuple() for t in heldout):
-        known_tails.setdefault((h, r), []).append(tl)
-        known_heads.setdefault((r, tl), []).append(h)
+    product = model.kind == "distmult" or model.norm == "l2"
+    table, spread = model.entity_emb, slice(None)
+    if product:
+        # BLAS may give identical rows different products, and a tie must stay
+        # a tie: the products score the distinct rows, spread over entities.
+        table, spread = np.unique(table, axis=0, return_inverse=True)
+        spread = spread.reshape(-1)
+    sq_norms = np.einsum("ij,ij->i", table, table)
+    # The kernel path holds [rows * n_entities, dim] temporaries.
+    rows = max(1, SCORE_BLOCK_BYTES // (8 * len(model.entity_emb) * (1 if product else model.dim)))
+    ranks = np.empty((len(held), 2))
+    for a in range(0, len(held), rows):
+        block = held[a : a + rows]
+        q = np.arange(len(block))
+        finite = np.empty((len(block), 2), dtype=bool)
+        for j, (side, (owner, entity, ptr)) in enumerate(zip((TAIL, HEAD), known)):
+            scores = _query_scores(model, block, side, table, sq_norms)[:, spread]
+            finite[:, j] = np.isfinite(scores).all(axis=1)
+            true = scores[q, block[:, 2 - 2 * j]][:, None]
+            # Every known completion, the true one too, leaves the counts.
+            pairs = slice(ptr[a], ptr[a + len(block)])
+            scores[owner[pairs] - a, entity[pairs]] = -np.inf
+            better = np.count_nonzero(scores > true, axis=1)
+            ranks[a : a + rows, j] = 1.0 + better + np.count_nonzero(scores == true, axis=1) / 2.0
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), 2)
+            t, label = heldout[a + i], kg.entity_vocab.label
+            raise NonFiniteScoreError(
+                f"non-finite score in the {(TAIL, HEAD)[j]} query of held-out triple "
+                f"({label(t.head)}, {kg.relation_vocab.label(t.relation)}, {label(t.tail)})"
+            )
 
-    ranks: list[float] = []
-    for t in heldout:
-        for side in (TAIL, HEAD):
-            scores = _score_against_all(model, t, side)
-            if not np.isfinite(scores).all():
-                labels = kg.entity_vocab.label, kg.relation_vocab.label
-                raise NonFiniteScoreError(
-                    f"non-finite score in the {side} query of held-out triple "
-                    f"({labels[0](t.head)}, {labels[1](t.relation)}, {labels[0](t.tail)})"
-                )
-            if side == TAIL:
-                true_score = scores[t.tail]
-                known = scores[known_tails[(t.head, t.relation)]]
-            else:
-                true_score = scores[t.head]
-                known = scores[known_heads[(t.relation, t.tail)]]
-            better = np.count_nonzero(scores > true_score) - np.count_nonzero(known > true_score)
-            ties = np.count_nonzero(scores == true_score) - np.count_nonzero(known == true_score)
-            ranks.append(1.0 + better + ties / 2.0)
-
-    ranks_arr = np.asarray(ranks, dtype=np.float64)
+    ranks = ranks.reshape(-1)
     return LinkPredictionResult(
-        mean_rank=float(ranks_arr.mean()),
-        hits_at={k: float(np.mean(ranks_arr <= k)) for k in ks},
+        mean_rank=float(ranks.mean()),
+        hits_at={k: float(np.mean(ranks <= k)) for k in ks},
         num_queries=len(ranks),
     )

@@ -100,15 +100,11 @@ def auc(labels, scores) -> float:
 
     order = np.argsort(s, kind="stable")
     sorted_s = s[order]
+    # Each run [first, last] of equal sorted scores gets its 1-based midrank.
+    first = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    last = np.r_[first[1:], len(s)] - 1
     ranks = np.empty(s.shape[0], dtype=np.float64)
-    i = 0
-    while i < sorted_s.shape[0]:
-        j = i
-        while j + 1 < sorted_s.shape[0] and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        # 1-based midrank for the tie group [i, j].
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
 
     pos_rank_sum = float(np.sum(ranks[y == 1]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from knowfuse import retrieval
+from knowfuse import congruence, retrieval
 from knowfuse.cli import derive_seed, main
 from knowfuse.fusion import FusionConfig, load_checkpoint
 from knowfuse.kge import KgeTrainConfig
@@ -132,6 +133,13 @@ class TestTrainKge:
         bad = tmp_path / "bad.tsv"
         bad.write_text("only two\tfields\n")
         assert main(_kge_args(bad, tmp_path / "out")) == 1
+
+    def test_divergence_exits_one_and_names_the_batch(self, toy_tsv, tmp_path, capsys):
+        argv = _kge_args(toy_tsv, tmp_path / "out", kind="distmult", lr=10.0, epochs=50)
+        with np.errstate(all="ignore"):
+            assert main(argv) == 1
+        assert re.search(r"kge distmult: non-finite loss in epoch \d+, batch \d+",
+                         capsys.readouterr().err)
 
 
 class TestRetrieve:
@@ -440,6 +448,31 @@ class TestCongruence:
             outs.append(out)
         for name in ("congruence.json", "pairs.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_augments_once_with_library_outputs(self, modality_files, tmp_path, monkeypatch):
+        text, image = read_store(modality_files["text"]), read_store(modality_files["image"])
+        concepts = read_store(modality_files["concepts"])
+        knowledge = [np.stack([concepts.row("c0"), concepts.row("c2")])] * text.n
+        pairs = congruence.ModalityPairSet(text.vectors, image.vectors, knowledge,
+                                           list(text.names))
+        want_csv = tmp_path / "want.csv"
+        congruence.write_pair_csv(pairs, want_csv)
+        want_json = json.dumps(congruence.report(pairs).to_dict(), sort_keys=True, indent=2)
+
+        calls = []
+        original = congruence.augment_with_knowledge
+        monkeypatch.setattr(congruence, "augment_with_knowledge",
+                            lambda p: calls.append(p) or original(p))
+        out = tmp_path / "out"
+        assert main([
+            "congruence", "--text-store", str(modality_files["text"]),
+            "--image-store", str(modality_files["image"]),
+            "--concept-store", str(modality_files["concepts"]),
+            "--pairs", str(modality_files["pairs"]), "--out", str(out),
+        ]) == 0
+        assert len(calls) == 1
+        assert (out / "pairs.csv").read_bytes() == want_csv.read_bytes()
+        assert (out / "congruence.json").read_text() == want_json + "\n"
 
     def test_duplicate_pair_id_exits_one(self, modality_files, tmp_path, capsys):
         pairs = modality_files["pairs"]

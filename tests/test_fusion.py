@@ -9,6 +9,7 @@ from knowfuse.errors import (
     BadMagicError,
     NonFiniteError,
     StoreFormatError,
+    TrainingDivergedError,
     TruncatedStoreError,
 )
 from knowfuse.fusion import (
@@ -372,6 +373,14 @@ class TestTrainClassifier:
         res = train_classifier(records[:80], store, _small_fusion_cfg(),
                                val_records=records[80:])
         assert len(res.history) >= 1
+
+    def test_overflowing_learning_rate_raises_at_the_batch(self):
+        records, store = _small_dataset()
+        cfg = _small_fusion_cfg(learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDivergedError, match=r"fusion: non-finite loss in epoch 1, batch \d+"
+        ):
+            train_classifier(records, store, cfg)
 
     def test_single_class_rejected(self):
         records, store = _small_dataset()

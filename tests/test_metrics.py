@@ -1,8 +1,12 @@
 """Binary classification metrics against hand counts and all-pairs AUC."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from knowfuse.metrics import auc, classify_metrics, evaluate
@@ -22,6 +26,23 @@ def _oracle_auc(labels, scores) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def _loop_midrank_auc(labels, scores) -> float:
+    """Rank-sum AUC with the tie groups walked one by one in Python."""
+    y, s = np.asarray(labels), np.asarray(scores, dtype=np.float64)
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    ranks = np.empty(s.shape[0], dtype=np.float64)
+    i = 0
+    while i < sorted_s.shape[0]:
+        j = i
+        while j + 1 < sorted_s.shape[0] and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    return (float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 class TestClassifyMetrics:
@@ -88,6 +109,43 @@ class TestAuc:
             assert_allclose(
                 auc(labels, scores), _oracle_auc(labels, scores), rtol=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), levels=st.integers(1, 6))
+    def test_heavy_ties_match_pair_count_oracle(self, data, levels):
+        # scores drawn from a handful of values, so most of them tie
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, levels - 1)), min_size=2, max_size=60,
+        ).filter(lambda rows: len({label for label, _ in rows}) == 2))
+        labels = [label for label, _ in pairs]
+        scores = [level / 8.0 - 0.3 for _, level in pairs]
+        got = auc(labels, scores)
+        assert got == _loop_midrank_auc(labels, scores)
+        assert_allclose(got, _oracle_auc(labels, scores), rtol=1e-12)
+
+    def test_lines_run_do_not_grow_with_tie_groups(self):
+        # a Python walk over the tie groups runs more lines the more groups
+        # there are; the vectorised midranks run the same lines for any input
+        def lines_run(n):
+            rng = np.random.default_rng(0)
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                if frame.f_code is not auc.__code__:
+                    return None
+                count += event == "line"
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                auc(np.arange(n) % 2, rng.random(n))
+            finally:
+                sys.settrace(previous)
+            return count
+
+        assert lines_run(10) == lines_run(1000)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
