@@ -24,7 +24,6 @@ from . import fusion, kge, metrics, retrieval, stores
 from .errors import KnowfuseError
 from .kg import holdout_split, load_triples
 
-DEFAULT_SPLIT_SHAPE = {"train": 45810, "val": 15000, "test": 15000}
 LR_SWEEP = (1e-4, 5e-5)
 
 
@@ -231,7 +230,7 @@ def cmd_train_fusion(args) -> None:
     mm_store = stores.read_store(args.mm_store)
     concept_store = stores.read_store(args.concept_store)
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
-    split_shape = config.get("splits", DEFAULT_SPLIT_SHAPE)
+    split_shape = config.get("splits", fusion.DEFAULT_SPLIT_SHAPE)
     train, val, test = _split_records(records, seed, split_shape)
 
     # Dims follow the stores unless the config pins them.

@@ -1,9 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types, and the integer check of the config dataclasses.
 
 Everything raised on bad inputs or bad files derives from KnowfuseError so
 callers (and the CLI) can distinguish contract violations from genuine I/O
 failures such as a missing path.
 """
+import dataclasses
+import numbers
+
+
+def check_int_fields(cfg) -> None:
+    """Raise ValueError naming the first int field of dataclass cfg that holds a float or bool."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 class KnowfuseError(Exception):

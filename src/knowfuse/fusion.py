@@ -21,8 +21,9 @@ classifies the projected multimodal vector alone.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,18 @@ from .errors import (
     StoreFormatError,
     TrainingDivergedError,
     TruncatedStoreError,
+    check_int_fields,
 )
 from .stores import CampaignRecord, EmbeddingStore
 
 CHECKPOINT_MAGIC = b"FUSNET01"
 
-# Share of a train+val pool given to validation when no explicit validation
-# records are supplied; mirrors the default pipeline split shape.
-DEFAULT_VAL_SHARE = 15000 / 60810
+# Records per split of the default pipeline. Given no validation records,
+# train_classifier gives validation the same share of its pool.
+DEFAULT_SPLIT_SHAPE = {"train": 45810, "val": 15000, "test": 15000}
+DEFAULT_VAL_SHARE = DEFAULT_SPLIT_SHAPE["val"] / (
+    DEFAULT_SPLIT_SHAPE["train"] + DEFAULT_SPLIT_SHAPE["val"]
+)
 
 
 @dataclass
@@ -59,6 +64,7 @@ class FusionConfig:
     train_concepts: bool = False
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.d_model < 1 or self.num_heads < 1:
             raise ValueError("d_model and num_heads must be positive")
         if self.d_model % self.num_heads != 0:
@@ -86,9 +92,43 @@ class FusionConfig:
         return self.d_model // self.num_heads
 
 
+def _layout(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Parameter shapes in the order they sit in FusionNet.flat and in the
+    FUSNET01 payload. Q, K and V share one [h, 3, d, dh] block, interleaved
+    by head."""
+    d, h, dh = cfg.d_model, cfg.num_heads, cfg.head_dim
+    return [
+        ("proj_mm_w", (cfg.multimodal_dim, d)),
+        ("proj_mm_b", (d,)),
+        ("proj_kg_w", (cfg.knowledge_dim, d)),
+        ("proj_kg_b", (d,)),
+        ("attn_qkv", (h, 3, d, dh)),
+        ("attn_out", (d, d)),
+        ("cls_w", (d, 2)),
+        ("cls_b", (2,)),
+    ]
+
+
+def _n_params(cfg: FusionConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(cfg))
+
+
+def _views(flat: np.ndarray, cfg: FusionConfig) -> dict[str, np.ndarray]:
+    """flat under "flat", plus a view into it under each of FusionNet.PARAM_NAMES."""
+    views = {"flat": flat}
+    pos = 0
+    for name, shape in _layout(cfg):
+        size = math.prod(shape)
+        views[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    views["attn_q"], views["attn_k"], views["attn_v"] = views.pop("attn_qkv").swapaxes(0, 1)
+    return views
+
+
 class FusionNet:
-    """Parameter container. Weight matrices start uniform in
-    [-1/sqrt(fan_in), 1/sqrt(fan_in)]; biases start at zero."""
+    """Parameters, each a view into one float64 vector `flat` laid out by
+    _layout. Weight matrices are drawn in PARAM_NAMES order, uniform in
+    +-1/sqrt(fan_in) with fan_in their second-to-last axis; biases are zero."""
 
     PARAM_NAMES = (
         "proj_mm_w",
@@ -107,32 +147,15 @@ class FusionNet:
         self.cfg = cfg
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
-        d, h, dh = cfg.d_model, cfg.num_heads, cfg.head_dim
-
-        def uniform(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        self.proj_mm_w = uniform(cfg.multimodal_dim, (cfg.multimodal_dim, d))
-        self.proj_mm_b = np.zeros(d)
-        self.proj_kg_w = uniform(cfg.knowledge_dim, (cfg.knowledge_dim, d))
-        self.proj_kg_b = np.zeros(d)
-        self.attn_q = uniform(d, (h, d, dh))
-        self.attn_k = uniform(d, (h, d, dh))
-        self.attn_v = uniform(d, (h, d, dh))
-        self.attn_out = uniform(d, (d, d))
-        self.cls_w = uniform(d, (d, 2))
-        self.cls_b = np.zeros(2)
+        vars(self).update(_views(np.zeros(_n_params(cfg)), cfg))
+        for name in self.PARAM_NAMES:
+            param = getattr(self, name)
+            if param.ndim > 1:
+                bound = 1.0 / np.sqrt(param.shape[-2])
+                param[...] = rng.uniform(-bound, bound, size=param.shape)
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name).copy() for name in self.PARAM_NAMES}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, value in snap.items():
-            getattr(self, name)[...] = value
 
 
 @dataclass
@@ -218,24 +241,27 @@ def forward(
 
 
 def backward(
-    net: FusionNet, trace: ForwardTrace, labels: np.ndarray
+    net: FusionNet, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of the batch-mean cross-entropy, plus d kg [B, n_k, kg_dim].
 
-    The ablation path leaves attention and knowledge projection gradients
-    at zero and returns an empty d kg.
+    The gradients are views by parameter name into one vector laid out like
+    net.flat, which is itself under "flat": `out` when given, else a new
+    zeroed one. The ablation path leaves the attention and knowledge
+    projection gradients untouched, so they stay zero in a zeroed `out` that
+    only this net's gradients have been written to, and returns an empty d kg.
     """
     cfg = net.cfg
     batch = trace.x.shape[0]
-    g = {name: np.zeros_like(p) for name, p in net.params().items()}
+    g = _views(np.zeros_like(net.flat) if out is None else out, cfg)
 
     p = _softmax(trace.logits, axis=-1)
     dz = p.copy()
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
 
-    g["cls_w"] = trace.cls_in.T @ dz
-    g["cls_b"] = dz.sum(axis=0)
+    g["cls_w"][...] = trace.cls_in.T @ dz
+    g["cls_b"][...] = dz.sum(axis=0)
     d_cls_in = dz @ net.cls_w.T
 
     if trace.kv0 is None:
@@ -244,7 +270,7 @@ def backward(
     else:
         d_fused = d_cls_in
         d_q0 = d_cls_in.copy()
-        g["attn_out"] = trace.concat.T @ d_fused
+        g["attn_out"][...] = trace.concat.T @ d_fused
         d_concat = d_fused @ net.attn_out.T
         d_head = d_concat.reshape(batch, cfg.num_heads, cfg.head_dim)
 
@@ -256,19 +282,19 @@ def backward(
         d_q = _einsum("bhn,bhne->bhe", d_scores, trace.k)
         d_k = _einsum("bhn,bhe->bhne", d_scores, trace.q)
 
-        g["attn_q"] = _einsum("bd,bhe->hde", trace.q0, d_q)
+        g["attn_q"][...] = _einsum("bd,bhe->hde", trace.q0, d_q)
         d_q0 += _einsum("hde,bhe->bd", net.attn_q, d_q)
-        g["attn_k"] = _einsum("bnd,bhne->hde", trace.kv0, d_k)
+        g["attn_k"][...] = _einsum("bnd,bhne->hde", trace.kv0, d_k)
         d_kv0 = _einsum("hde,bhne->bnd", net.attn_k, d_k)
-        g["attn_v"] = _einsum("bnd,bhne->hde", trace.kv0, d_v)
+        g["attn_v"][...] = _einsum("bnd,bhne->hde", trace.kv0, d_v)
         d_kv0 += _einsum("hde,bhne->bnd", net.attn_v, d_v)
 
-        g["proj_kg_w"] = _einsum("bnd,bne->de", trace.kg, d_kv0)
-        g["proj_kg_b"] = d_kv0.sum(axis=(0, 1))
+        g["proj_kg_w"][...] = _einsum("bnd,bne->de", trace.kg, d_kv0)
+        g["proj_kg_b"][...] = d_kv0.sum(axis=(0, 1))
         d_kg = _einsum("bne,de->bnd", d_kv0, net.proj_kg_w)
 
-    g["proj_mm_w"] = trace.x.T @ d_q0
-    g["proj_mm_b"] = d_q0.sum(axis=0)
+    g["proj_mm_w"][...] = trace.x.T @ d_q0
+    g["proj_mm_b"][...] = d_q0.sum(axis=0)
     return g, d_kg
 
 
@@ -283,25 +309,30 @@ def warmup_lr(step: int, total_steps: int, warmup_steps: int, base_lr: float) ->
     return base_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
+# Adam steps blocks of this many leading-axis entries to keep temporaries in cache.
+ADAM_BLOCK = 1 << 15
+
+
 class _Adam:
-    """Adaptive moments without bias correction; warmup covers the early
-    low-magnitude steps."""
+    """Adaptive moments without bias correction, updating one parameter
+    array in place; warmup covers the early low-magnitude steps."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def step(self, name: str, param: np.ndarray, grad_: np.ndarray, lr: float) -> None:
-        if name not in self.m:
-            self.m[name] = np.zeros_like(param)
-            self.v[name] = np.zeros_like(param)
-        m, v = self.m[name], self.v[name]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad_
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad_ * grad_
-        param -= lr * m / (np.sqrt(v) + self.eps)
+    def __init__(self, param: np.ndarray):
+        self.param = param
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+
+    def step(self, grad_: np.ndarray, lr: float) -> None:
+        for start in range(0, len(grad_), ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            m, v, g = self.m[block], self.v[block], grad_[block]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            self.param[block] -= lr * m / (np.sqrt(v) + self.eps)
 
 
 @dataclass
@@ -402,10 +433,12 @@ def train_classifier(
     total_steps = cfg.epochs * n_batches
     warmup_steps = int(round(cfg.warmup_fraction * total_steps))
 
-    adam = _Adam()
+    adam = _Adam(net.flat)
+    grad_flat = np.zeros_like(net.flat)
+    concept_adam = _Adam(concepts) if cfg.train_concepts and cfg.use_knowledge else None
     history: list[dict] = []
     best_val = -1.0
-    best_snap = net.snapshot()
+    best_flat = net.flat.copy()
     best_concepts = concepts.copy() if cfg.train_concepts else None
     stale = 0
     step = 0
@@ -424,14 +457,12 @@ def train_classifier(
                 raise TrainingDivergedError(
                     f"fusion: non-finite loss in epoch {epoch + 1}, batch {batch}"
                 )
-            grads, d_kg = backward(net, trace, batch_labels)
-            params = net.params()
-            for name in net.PARAM_NAMES:
-                adam.step(name, params[name], grads[name], lr)
-            if cfg.train_concepts and cfg.use_knowledge:
+            _, d_kg = backward(net, trace, batch_labels, out=grad_flat)
+            adam.step(grad_flat, lr)
+            if concept_adam is not None:
                 gc = np.zeros_like(concepts)
                 np.add.at(gc, ids, d_kg)
-                adam.step("concepts", concepts, gc, lr)
+                concept_adam.step(gc, lr)
 
         train_labels, train_preds, _ = _eval_net(net, records, concepts)
         val_labels, val_preds, _ = _eval_net(net, val_records, concepts)
@@ -448,21 +479,17 @@ def train_classifier(
         )
         if val_acc > best_val:
             best_val = val_acc
-            best_snap = net.snapshot()
+            best_flat[...] = net.flat
             if cfg.train_concepts:
-                best_concepts = concepts.copy()
+                best_concepts[...] = concepts
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
 
-    net.restore(best_snap)
-    return TrainResult(
-        net=net,
-        history=history,
-        concept_vectors=best_concepts if cfg.train_concepts else None,
-    )
+    net.flat[...] = best_flat
+    return TrainResult(net=net, history=history, concept_vectors=best_concepts)
 
 
 def predict(
@@ -496,46 +523,27 @@ def evaluate_records(
     return _eval_net(net, records, concept_vectors)
 
 
-def _head_params(net: FusionNet):
-    """Checkpoint order: projections, then per head Q, K, V, then the rest."""
-    yield "proj_mm_w", net.proj_mm_w
-    yield "proj_mm_b", net.proj_mm_b
-    yield "proj_kg_w", net.proj_kg_w
-    yield "proj_kg_b", net.proj_kg_b
-    for i in range(net.cfg.num_heads):
-        yield f"attn_q[{i}]", net.attn_q[i]
-        yield f"attn_k[{i}]", net.attn_k[i]
-        yield f"attn_v[{i}]", net.attn_v[i]
-    yield "attn_out", net.attn_out
-    yield "cls_w", net.cls_w
-    yield "cls_b", net.cls_b
+def _header(cfg: FusionConfig) -> tuple[int, int, int, int, int]:
+    """The five u32 FUSNET01 header fields that follow the magic."""
+    return (cfg.d_model, cfg.num_heads, cfg.multimodal_dim, cfg.knowledge_dim,
+            1 if cfg.use_knowledge else 0)
 
 
 def save_checkpoint(net: FusionNet, path: str | Path) -> None:
     """Write FUSNET01 weights plus a JSON config sidecar at <path>.json."""
-    cfg = net.cfg
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack(
-            "<IIIII",
-            cfg.d_model,
-            cfg.num_heads,
-            cfg.multimodal_dim,
-            cfg.knowledge_dim,
-            1 if cfg.use_knowledge else 0,
-        ),
-    ]
-    parts.extend(
-        np.ascontiguousarray(p, dtype="<f4").tobytes() for _, p in _head_params(net)
-    )
     path = Path(path)
-    path.write_bytes(b"".join(parts))
+    header = struct.pack("<5I", *_header(net.cfg))
+    path.write_bytes(CHECKPOINT_MAGIC + header + net.flat.astype("<f4").tobytes())
     sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n")
+    sidecar.write_text(json.dumps(asdict(net.cfg), sort_keys=True, indent=2) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> FusionNet:
-    """Read a FUSNET01 checkpoint (and its sidecar when present)."""
+    """Read a FUSNET01 checkpoint (and its sidecar when present).
+
+    The payload length is checked against the shape the header declares
+    before any parameter memory is allocated.
+    """
     path = Path(path)
     buf = path.read_bytes()
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -543,9 +551,7 @@ def load_checkpoint(path: str | Path) -> FusionNet:
     header_len = len(CHECKPOINT_MAGIC) + 20
     if len(buf) < header_len:
         raise TruncatedStoreError(f"{path}: header truncated")
-    d_model, num_heads, mm_dim, kg_dim, flags = struct.unpack(
-        "<IIIII", buf[len(CHECKPOINT_MAGIC) : header_len]
-    )
+    header = struct.unpack("<5I", buf[len(CHECKPOINT_MAGIC) : header_len])
 
     sidecar = path.with_name(path.name + ".json")
     if sidecar.exists():
@@ -554,39 +560,25 @@ def load_checkpoint(path: str | Path) -> FusionNet:
             cfg = FusionConfig(**cfg_dict)
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"{sidecar}: bad config sidecar: {exc}") from exc
-        from_header = (d_model, num_heads, mm_dim, kg_dim, flags)
-        from_sidecar = (
-            cfg.d_model,
-            cfg.num_heads,
-            cfg.multimodal_dim,
-            cfg.knowledge_dim,
-            1 if cfg.use_knowledge else 0,
-        )
-        if from_header != from_sidecar:
+        if _header(cfg) != header:
             raise StoreFormatError(f"{path}: header disagrees with config sidecar")
     else:
+        d_model, num_heads, mm_dim, kg_dim, flags = header
         try:
-            cfg = FusionConfig(
-                d_model=d_model,
-                num_heads=num_heads,
-                multimodal_dim=mm_dim,
-                knowledge_dim=kg_dim,
-                use_knowledge=bool(flags),
-            )
+            cfg = FusionConfig(d_model=d_model, num_heads=num_heads, multimodal_dim=mm_dim,
+                               knowledge_dim=kg_dim, use_knowledge=bool(flags))
         except ValueError as exc:
             raise StoreFormatError(f"{path}: invalid header: {exc}") from exc
 
+    extra = len(buf) - header_len - 4 * _n_params(cfg)
+    if extra < 0:
+        raise TruncatedStoreError(f"{path}: payload {-extra} bytes short of the header's shape")
+    if extra > 0:
+        raise StoreFormatError(f"{path}: {extra} trailing bytes")
+    values = np.frombuffer(buf, dtype="<f4", offset=header_len)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteError(f"{path}: non-finite value at parameter {bad[0]}")
     net = FusionNet(cfg, rng=np.random.default_rng(0))
-    pos = header_len
-    for name, param in _head_params(net):
-        nbytes = param.size * 4
-        if pos + nbytes > len(buf):
-            raise TruncatedStoreError(f"{path}: truncated in {name}")
-        values = np.frombuffer(buf[pos : pos + nbytes], dtype="<f4")
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"{path}: non-finite values in {name}")
-        param[...] = values.reshape(param.shape).astype(np.float64)
-        pos += nbytes
-    if pos != len(buf):
-        raise StoreFormatError(f"{path}: {len(buf) - pos} trailing bytes")
+    net.flat[...] = values
     return net

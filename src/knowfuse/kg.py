@@ -49,9 +49,6 @@ class Vocab:
             self._labels.append(label)
         return idx
 
-    def id(self, label: str) -> int:
-        return self._ids[label]
-
     def label(self, idx: int) -> str:
         return self._labels[idx]
 
@@ -61,9 +58,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._labels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocab):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteScoreError, TrainingDivergedError
+from .errors import NonFiniteScoreError, TrainingDivergedError, check_int_fields
 from .kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt
 
 KINDS = ("transe", "rotate", "distmult")
@@ -66,6 +66,7 @@ class KgeTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.norm not in ("l1", "l2"):

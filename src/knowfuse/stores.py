@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteError,
     StoreFormatError,
     TruncatedStoreError,
+    check_int_fields,
 )
 
 STORE_MAGIC = b"EMBSTOR1"
@@ -290,6 +291,7 @@ class SynthConfig:
     cluster_separation: float = 1.0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.n < 10:
             raise ValueError(f"n must be >= 10, got {self.n}")
         if not 0.0 < self.class_ratio < 1.0:

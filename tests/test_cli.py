@@ -563,6 +563,32 @@ class TestConfigFile:
             SynthConfig().concepts_per_record
         }
 
+    def test_float_integers_are_errors(self, toy_tsv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n": 20.0}, "kge": {"dim": 32.0}}))
+        common = ["--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(["synth", *common]) == 1
+        assert capsys.readouterr().err == "error: n must be an integer, got 20.0\n"
+        assert main(["train-kge", "--triples", str(toy_tsv), *common]) == 1
+        assert capsys.readouterr().err == "error: dim must be an integer, got 32.0\n"
+
+    def test_float_in_checkpoint_sidecar_is_an_error(self, tmp_path, capsys):
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert main(_synth_args(data)) == 0
+        assert main(_fusion_args(data, model)) == 0
+        sidecar = model / "fusion.ckpt.json"
+        cfg = json.loads(sidecar.read_text())
+        cfg["num_heads"] = float(cfg["num_heads"])
+        sidecar.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([
+            "predict", "--checkpoint", str(model / "fusion.ckpt"),
+            "--records", str(data / "records.jsonl"),
+            "--mm-store", str(data / "multimodal.emb"),
+            "--concept-store", str(data / "concepts.emb"), "--out", str(tmp_path / "pred"),
+        ]) == 1
+        assert "num_heads must be an integer" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):

@@ -1,10 +1,15 @@
 """Cross-attention fusion network: forward oracle, gradients, training."""
 from __future__ import annotations
 
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from knowfuse import fusion
 from knowfuse.errors import (
     BadMagicError,
     NonFiniteError,
@@ -55,6 +60,16 @@ class TestConfigValidation:
     def test_rejects_negative_learning_rate(self):
         with pytest.raises(ValueError, match="learning_rate"):
             FusionConfig(learning_rate=-1e-5)
+
+    @pytest.mark.parametrize("field", [
+        "d_model", "num_heads", "multimodal_dim", "knowledge_dim", "batch_size",
+        "epochs", "early_stop_patience", "seed",
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, field):
+        whole = float(getattr(FusionConfig(), field))
+        for value in (whole, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                FusionConfig(**{field: value})
 
 
 class TestAttentionOp:
@@ -404,6 +419,16 @@ class TestTrainClassifier:
             res.concept_vectors, store.vectors.astype(np.float64)
         )
 
+    def test_adam_blocks_leave_the_result_unchanged(self, monkeypatch):
+        records, store = _small_dataset()
+        cfg = _small_fusion_cfg(train_concepts=True)
+        whole = train_classifier(records, store, cfg)
+        monkeypatch.setattr(fusion, "ADAM_BLOCK", 7)
+        blocked = train_classifier(records, store, cfg)
+        assert blocked.history == whole.history
+        assert np.array_equal(blocked.net.flat, whole.net.flat)
+        assert np.array_equal(blocked.concept_vectors, whole.concept_vectors)
+
     def test_untrained_concepts_not_returned(self):
         records, store = _small_dataset()
         res = train_classifier(records, store, _small_fusion_cfg())
@@ -502,13 +527,115 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_non_finite_payload(self, tmp_path):
-        import struct as _struct
-
         net = FusionNet(_small_fusion_cfg())
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         raw = bytearray(path.read_bytes())
-        raw[-4:] = _struct.pack("<f", np.nan)
+        raw[-4:] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(raw))
         with pytest.raises(NonFiniteError):
             load_checkpoint(path)
+
+    def test_header_sized_before_allocation(self, tmp_path):
+        # A header-only file claiming d_model 4096 would need about 570 MB
+        # of float64 parameters; the length check must come first.
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"FUSNET01" + struct.pack("<5I", 4096, 4, 768, 256, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStoreError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_float_in_sidecar_is_a_format_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(FusionNet(_small_fusion_cfg()), path)
+        sidecar = path.with_name("net.ckpt.json")
+        cfg = json.loads(sidecar.read_text())
+        cfg["num_heads"] = 2.0
+        sidecar.write_text(json.dumps(cfg))
+        with pytest.raises(StoreFormatError, match="num_heads must be an integer"):
+            load_checkpoint(path)
+
+
+def _old_order_checkpoint(net: FusionNet) -> bytes:
+    """FUSNET01 as written per tensor: the projections, then q[i], k[i],
+    v[i] for each head, then attn_out, cls_w and cls_b, each float32."""
+    cfg = net.cfg
+    tensors = [net.proj_mm_w, net.proj_mm_b, net.proj_kg_w, net.proj_kg_b]
+    for i in range(cfg.num_heads):
+        tensors += [net.attn_q[i], net.attn_k[i], net.attn_v[i]]
+    tensors += [net.attn_out, net.cls_w, net.cls_b]
+    header = struct.pack("<IIIII", cfg.d_model, cfg.num_heads, cfg.multimodal_dim,
+                         cfg.knowledge_dim, int(cfg.use_knowledge))
+    return b"FUSNET01" + header + b"".join(
+        np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors
+    )
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_checkpoint_bytes_follow_the_per_head_order(self, tmp_path, heads):
+        net = FusionNet(_small_fusion_cfg(num_heads=heads, seed=heads))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        assert path.read_bytes() == _old_order_checkpoint(net)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_old_order_checkpoint_loads(self, tmp_path, heads):
+        net = FusionNet(_small_fusion_cfg(num_heads=heads, seed=heads))
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(_old_order_checkpoint(net))
+        back = load_checkpoint(path)
+        for name in net.PARAM_NAMES:
+            want = getattr(net, name).astype(np.float32).astype(np.float64)
+            assert np.array_equal(getattr(back, name), want), name
+
+    def test_parameters_are_views_of_flat(self):
+        net = FusionNet(_small_fusion_cfg())
+        assert sum(getattr(net, name).size for name in net.PARAM_NAMES) == net.flat.size
+        for name in net.PARAM_NAMES:
+            assert np.shares_memory(getattr(net, name), net.flat), name
+        before = net.flat.copy()
+        net.attn_k[1][2, 3] = 7.5
+        changed = np.flatnonzero(net.flat != before)
+        assert changed.size == 1 and net.flat[changed[0]] == 7.5
+        net.flat[...] = 0.0
+        assert not net.attn_k.any()
+
+    def test_gradients_share_one_flat_vector(self):
+        rng = np.random.default_rng(17)
+        net = FusionNet(TINY, rng=np.random.default_rng(18))
+        mm = rng.normal(size=(2, TINY.multimodal_dim))
+        kg = rng.normal(size=(2, 3, TINY.knowledge_dim))
+        _, trace = forward(net, mm, kg)
+        grads, _ = backward(net, trace, np.array([0, 1]))
+        assert grads["flat"].shape == net.flat.shape
+        for name in net.PARAM_NAMES:
+            assert grads[name].shape == getattr(net, name).shape
+            assert np.shares_memory(grads[name], grads["flat"]), name
+        assert np.sum(grads["flat"] ** 2) == pytest.approx(
+            sum(np.sum(grads[name] ** 2) for name in net.PARAM_NAMES), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("use_knowledge", [True, False])
+    def test_backward_into_a_reused_vector(self, use_knowledge):
+        cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
+                           use_knowledge=use_knowledge, seed=19)
+        net = FusionNet(cfg)
+        rng = np.random.default_rng(20)
+        out = np.zeros_like(net.flat)
+        for _ in range(3):
+            mm = rng.normal(size=(2, cfg.multimodal_dim))
+            kg = rng.normal(size=(2, 3, cfg.knowledge_dim))
+            labels = rng.integers(0, 2, size=2)
+            _, trace = forward(net, mm, kg)
+            fresh, d_fresh = backward(net, trace, labels)
+            reused, d_reused = backward(net, trace, labels, out=out)
+            assert reused["flat"] is out
+            assert np.array_equal(out, fresh["flat"])
+            assert np.array_equal(d_reused, d_fresh)
+            net.flat += 0.01 * out

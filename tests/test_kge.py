@@ -250,6 +250,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             KgeTrainConfig(negatives_per_positive=0)
 
+    @pytest.mark.parametrize("field", ["dim", "epochs", "negatives_per_positive", "seed"])
+    def test_integer_fields_reject_floats_and_bools(self, field):
+        whole = float(getattr(KgeTrainConfig(), field))
+        for value in (whole, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                KgeTrainConfig(**{field: value})
+
 
 class TestInit:
     def test_transe_bounds(self):

@@ -268,6 +268,15 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="cluster_separation"):
             SynthConfig(cluster_separation=value)
 
+    @pytest.mark.parametrize(
+        "field", ["n", "dim", "seed", "concept_dim", "n_concepts", "concepts_per_record"]
+    )
+    def test_integer_fields_reject_floats_and_bools(self, field):
+        whole = float(getattr(SynthConfig(), field))
+        for value in (whole, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SynthConfig(**{field: value})
+
 
 class TestSynthDataset:
     def test_class_ratio_exact(self):
