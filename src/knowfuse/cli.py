@@ -1,9 +1,12 @@
 """Command line driver for the full pipeline.
 
 Subcommands: synth, train-kge, retrieve, train-fusion, predict, congruence.
-Options come from an optional JSON config file plus flags, with flags
-winning. One top-level seed is fanned out per stage through a stable hash,
-so every command is deterministic given identical inputs and seed.
+Each subcommand declares its settings once, in `build_parser`: a setting is
+a flag whose dest is its config key, or a key only a config file sets.
+`main` resolves every setting as flag > config[section][key] > default
+before the command runs, and rejects config keys that nothing reads. One
+top-level seed is fanned out per stage through a stable hash, so every
+command is deterministic given identical inputs and seed.
 
 Exit codes: 0 success, 1 validation or contract failure, 2 I/O failure.
 """
@@ -14,7 +17,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,10 @@ from .errors import KnowfuseError
 from .kg import holdout_split, load_triples
 
 LR_SWEEP = (1e-4, 5e-5)
+# Top-level config keys read by value, with their defaults; the other
+# top-level keys are the command sections.
+TOP_LEVEL = {"seed": 0, "splits": fusion.DEFAULT_SPLIT_SHAPE}
+CONFIG_KEYS = {*TOP_LEVEL, "synth", "kge", "retrieval", "fusion"}
 
 
 def derive_seed(base: int, stage: str) -> int:
@@ -33,41 +40,60 @@ def derive_seed(base: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
+def _reject_unknown(given: dict, allowed, what: str) -> None:
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}")
 
 
-def _settings(config: dict, section: str, **flags) -> dict:
-    """Settings resolved as flag > config[section][key].
+def _resolve(args) -> None:
+    """Fill each setting the command line left at None from the command's
+    config section, then from its declared default; None left over means
+    the config dataclass's own default. The seed falls back to the
+    config's top level, then 0."""
+    config = {}
+    if args.config is not None:
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        _reject_unknown(config, CONFIG_KEYS, "config keys")
+    section = config.get(args.section, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {args.section!r} must be a JSON object")
+    _reject_unknown(section, args.settings, f"{args.section} settings")
+    for key, default in args.settings.items():
+        if getattr(args, key, None) is None:  # config-only keys have no flag
+            setattr(args, key, section.get(key, default))
+    for key, default in TOP_LEVEL.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, config.get(key, default))
 
-    Each keyword names a setting and carries its flag value (None when the
-    setting has no flag or the flag was not given). Settings set by neither
-    are left out, so a config dataclass fills in its own default.
-    """
-    given = config.get(section, {})
-    picked = {key: given[key] for key in flags if key in given}
-    picked.update((key, flag) for key, flag in flags.items() if flag is not None)
-    return picked
 
-
-def _pick(flag, config: dict, section: str, key: str, default):
-    """flag > config[section][key] > default, for settings no dataclass holds."""
-    return _settings(config, section, **{key: flag}).get(key, default)
+def _build(cls, args, stage: str, **fixed):
+    """cls from the resolved settings named like its fields, overridden by
+    `fixed`, with a seed derived for `stage`. A None value leaves the
+    field at cls's default."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    values |= fixed | {"seed": derive_seed(args.seed, stage)}
+    return cls(**{key: value for key, value in values.items() if value is not None})
 
 
 def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_jsonl(objs, path: Path) -> None:
+    """One sorted-key JSON object per line, written as `objs` yields them."""
+    with path.open("w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _write_csv(header: list[str], rows, path: Path) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
@@ -87,87 +113,54 @@ def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
 
 
 def cmd_synth(args) -> None:
-    config = _load_config(args.config)
-    seed = _pick(args.seed, config, "synth", "seed", config.get("seed", 0))
-    cfg = stores.SynthConfig(
-        seed=derive_seed(seed, "synth"),
-        **_settings(config, "synth", n=args.n, dim=args.dim, class_ratio=args.class_ratio,
-                    concept_signal_strength=args.signal, concept_dim=args.concept_dim,
-                    n_concepts=args.n_concepts, concepts_per_record=args.concepts_per_record),
-    )
+    cfg = _build(stores.SynthConfig, args, "synth")
     records, concept_store = stores.synth_dataset(cfg)
-    out = _out_dir(args)
-    stores.write_store(records_store := stores.records_to_store(records), out / "multimodal.emb")
-    stores.write_store(concept_store, out / "concepts.emb")
-    stores.write_records_jsonl(records, concept_store, out / "records.jsonl")
+    stores.write_store(records_store := stores.records_to_store(records), args.out / "multimodal.emb")
+    stores.write_store(concept_store, args.out / "concepts.emb")
+    stores.write_records_jsonl(records, concept_store, args.out / "records.jsonl")
     n1 = sum(r.label for r in records)
     print(
         f"synth: wrote {len(records)} records (dim {records_store.dim}, "
         f"{len(records) - n1} unsuccessful / {n1} successful), "
-        f"{concept_store.n} concepts (dim {concept_store.dim}) to {out}"
+        f"{concept_store.n} concepts (dim {concept_store.dim}) to {args.out}"
     )
 
 
 def cmd_train_kge(args) -> None:
-    config = _load_config(args.config)
-    seed = _pick(args.seed, config, "kge", "seed", config.get("seed", 0))
-    cfg = kge.KgeTrainConfig(
-        seed=derive_seed(seed, "kge"),
-        **_settings(config, "kge", kind=args.kind, dim=args.dim, learning_rate=args.lr,
-                    margin=args.margin, epochs=args.epochs,
-                    negatives_per_positive=args.negatives, norm=args.norm),
-    )
-    fmt = _pick(args.format, config, "kge", "format", "tsv")
-    heldout_count = _pick(args.heldout, config, "kge", "heldout", 10)
-
-    graph = load_triples(args.triples, fmt=fmt)
-    train_kg, heldout = holdout_split(graph, heldout_count, derive_seed(seed, "kge-holdout"))
+    cfg = _build(kge.KgeTrainConfig, args, "kge")
+    graph = load_triples(args.triples, fmt=args.format)
+    train_kg, heldout = holdout_split(graph, args.heldout, derive_seed(args.seed, "kge-holdout"))
     model, trace = kge.train(train_kg, cfg)
     result = kge.link_predict_eval(model, train_kg, heldout)
 
-    out = _out_dir(args)
     entity_store = stores.EmbeddingStore(
         dim=cfg.dim,
         names=graph.entity_vocab.labels,
         vectors=model.entity_emb.astype(np.float32),
         kind_tag="concept",
     )
-    stores.write_store(entity_store, out / "entities.emb")
-    meta = [
-        f"kind={cfg.kind}",
-        f"dim={cfg.dim}",
-        f"norm={cfg.norm}",
-        f"seed={cfg.seed}",
-        f"epochs={cfg.epochs}",
-        f"learning_rate={cfg.learning_rate}",
-        f"margin={cfg.margin}",
-        f"negatives_per_positive={cfg.negatives_per_positive}",
-        f"entities={graph.num_entities}",
-        f"relations={graph.num_relations}",
-        f"train_triples={len(train_kg.triples)}",
-        f"heldout_triples={len(heldout)}",
-    ]
-    (out / "kge_meta.txt").write_text("\n".join(meta) + "\n")
-    with (out / "loss_trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, loss in enumerate(trace, start=1):
-            writer.writerow([i, repr(loss)])
+    stores.write_store(entity_store, args.out / "entities.emb")
+    meta = [f"{key}={getattr(cfg, key)}" for key in (
+        "kind", "dim", "norm", "seed", "epochs", "learning_rate", "margin", "negatives_per_positive")]
+    meta += [f"entities={graph.num_entities}", f"relations={graph.num_relations}",
+             f"train_triples={len(train_kg.triples)}", f"heldout_triples={len(heldout)}"]
+    (args.out / "kge_meta.txt").write_text("\n".join(meta) + "\n")
+    _write_csv(["epoch", "mean_loss"],
+               ([i, repr(loss)] for i, loss in enumerate(trace, start=1)),
+               args.out / "loss_trace.csv")
     _write_json(
         {
             "mean_rank": result.mean_rank,
             "hits_at": {str(k): v for k, v in result.hits_at.items()},
             "num_queries": result.num_queries,
         },
-        out / "link_metrics.json",
+        args.out / "link_metrics.json",
     )
     hits = " ".join(f"hits@{k}={v:.4f}" for k, v in sorted(result.hits_at.items()))
     print(f"train-kge: mean_rank={result.mean_rank:.3f} {hits}")
 
 
 def cmd_retrieve(args) -> None:
-    config = _load_config(args.config)
-    k = _pick(args.k, config, "retrieval", "k", config.get("retrieval_k", 10))
     concept_store = stores.read_store(args.concepts)
     queries = stores.read_store(args.queries)
     captions = stores.read_store(args.caption_queries) if args.caption_queries else None
@@ -175,11 +168,11 @@ def cmd_retrieve(args) -> None:
         raise ValueError("caption store must carry the same row names as the query store")
 
     index = retrieval.ConceptIndex(concept_store)
-    out = _out_dir(args)
+
     # Queries stream through in blocks whose score matrix fits the index's
     # byte budget, so memory does not grow with the number of queries.
-    step = index.block_rows
-    with (out / "retrieved.jsonl").open("w", encoding="utf-8") as fh:
+    def rows():
+        step = index.block_rows
         for start in range(0, queries.n, step):
             stop = min(start + step, queries.n)
             block = queries.vectors[start:stop]
@@ -188,71 +181,42 @@ def cmd_retrieve(args) -> None:
                     block = retrieval.combine_text_caption(
                         block, captions.vectors[start:stop]
                     )
-                hits = retrieval.top_k(index, block, k)
+                hits = retrieval.top_k(index, block, args.k)
             except ValueError as exc:
                 raise ValueError(
                     f"queries {start} to {stop - 1} (row 0 is {queries.names[start]!r}): {exc}"
                 ) from exc
             for name, row in zip(queries.names[start:stop], hits):
-                fh.write(
-                    json.dumps(
-                        {"id": name, "concepts": [{"name": c, "score": s} for c, s in row]},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    print(f"retrieve: wrote top-{k} concepts for {queries.n} queries to {out}")
+                yield {"id": name, "concepts": [{"name": c, "score": s} for c, s in row]}
 
-
-def _fusion_config(
-    args, config: dict, seed: int, lr: float | None = None
-) -> fusion.FusionConfig:
-    """The fusion config from flags and config; lr, when given, wins over both."""
-    settings = _settings(
-        config, "fusion", d_model=args.d_model, num_heads=args.heads,
-        multimodal_dim=None, knowledge_dim=None,
-        learning_rate=lr if lr is not None else args.lr, warmup_fraction=None,
-        batch_size=args.batch_size, epochs=args.epochs, early_stop_patience=None,
-        train_concepts=args.train_concepts or None,
-    )
-    if "train_concepts" in settings:  # a config file may hold any JSON value
-        settings["train_concepts"] = bool(settings["train_concepts"])
-    return fusion.FusionConfig(
-        seed=derive_seed(seed, "fusion"),
-        use_knowledge=not args.no_knowledge,
-        **settings,
-    )
+    _write_jsonl(rows(), args.out / "retrieved.jsonl")
+    print(f"retrieve: wrote top-{args.k} concepts for {queries.n} queries to {args.out}")
 
 
 def cmd_train_fusion(args) -> None:
-    config = _load_config(args.config)
-    seed = _pick(args.seed, config, "fusion", "seed", config.get("seed", 0))
     mm_store = stores.read_store(args.mm_store)
     concept_store = stores.read_store(args.concept_store)
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
-    split_shape = config.get("splits", fusion.DEFAULT_SPLIT_SHAPE)
-    train, val, test = _split_records(records, seed, split_shape)
+    train, val, test = _split_records(records, args.seed, args.splits)
 
     # Dims follow the stores unless the config pins them.
-    config.setdefault("fusion", {}).setdefault("multimodal_dim", mm_store.dim)
-    config["fusion"].setdefault("knowledge_dim", concept_store.dim)
+    for key, store in (("multimodal_dim", mm_store), ("knowledge_dim", concept_store)):
+        if getattr(args, key) is None:
+            setattr(args, key, store.dim)
+    if args.train_concepts is not None:  # a config file may hold any JSON value
+        args.train_concepts = bool(args.train_concepts)
 
-    # With --train-concepts the model was trained and early-stopped against
-    # its tuned concept vectors, so it is evaluated against them too.
-    best = None
-    for lr in LR_SWEEP if args.lr_sweep else (None,):
-        cfg = _fusion_config(args, config, seed, lr)
-        result = fusion.train_classifier(train, concept_store, cfg, val_records=val)
-        val_labels, val_preds, _ = fusion.evaluate_records(
-            result.net, val, concept_store, result.concept_vectors
-        )
-        val_acc = float(np.mean(val_labels == val_preds))
-        if best is None or val_acc > best[0]:
-            best = (val_acc, result)
-    result = best[1]
+    results = [
+        fusion.train_classifier(train, concept_store, _build(
+            fusion.FusionConfig, args, "fusion", learning_rate=lr,
+            use_knowledge=not args.no_knowledge), val_records=val)
+        for lr in (LR_SWEEP if args.lr_sweep else (args.learning_rate,))
+    ]
+    # train_classifier restores the epoch with the best validation accuracy,
+    # so that is the model's; max keeps the first lr on ties and with no epochs.
+    result = max(results, key=lambda r: max((row["val_acc"] for row in r.history), default=-1.0))
 
-    out = _out_dir(args)
-    fusion.save_checkpoint(result.net, out / "fusion.ckpt")
+    fusion.save_checkpoint(result.net, args.out / "fusion.ckpt")
     if result.concept_vectors is not None:
         stores.write_store(
             stores.EmbeddingStore(
@@ -261,18 +225,16 @@ def cmd_train_fusion(args) -> None:
                 vectors=result.concept_vectors.astype(np.float32),
                 kind_tag=concept_store.kind_tag,
             ),
-            out / "concepts_tuned.emb",
+            args.out / "concepts_tuned.emb",
         )
 
-    with (out / "history.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_loss", "train_acc", "val_acc"])
-        for row in result.history:
-            writer.writerow(
-                [row["epoch"], repr(row["lr"]), repr(row["train_loss"]),
-                 repr(row["train_acc"]), repr(row["val_acc"])]
-            )
+    columns = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
+    _write_csv(columns,
+               ([row["epoch"], *(repr(row[c]) for c in columns[1:])] for row in result.history),
+               args.out / "history.csv")
 
+    # With --train-concepts the model was trained and early-stopped against
+    # its tuned concept vectors, so it is evaluated against them too.
     summary = {"lr_selected": result.net.cfg.learning_rate, "epochs_ran": len(result.history)}
     for split_name, split_records in (("train", train), ("val", val), ("test", test)):
         labels, preds, scores = fusion.evaluate_records(
@@ -282,7 +244,7 @@ def cmd_train_fusion(args) -> None:
         entry = ev.to_dict()
         entry["accuracy"] = float(np.mean(labels == preds))
         summary[split_name] = entry
-    _write_json(summary, out / "metrics.json")
+    _write_json(summary, args.out / "metrics.json")
 
     t = summary["test"]
     print(
@@ -298,44 +260,13 @@ def cmd_predict(args) -> None:
     concept_store = stores.read_store(args.concept_store)
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
     labels, preds, p1 = fusion.evaluate_records(net, records, concept_store)
-    out = _out_dir(args)
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh:
-        for record, pred, prob in zip(records, preds, p1):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": record.id,
-                        "label": int(pred),
-                        "p0": 1.0 - float(prob),
-                        "p1": float(prob),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        ({"id": record.id, "label": int(pred), "p0": 1.0 - float(prob), "p1": float(prob)}
+         for record, pred, prob in zip(records, preds, p1)),
+        args.out / "predictions.jsonl",
+    )
     acc = float(np.mean(labels == preds))
     print(f"predict: wrote {len(records)} predictions (accuracy vs file labels {acc:.4f})")
-
-
-def _read_concept_map(path: str) -> dict[str, list[str]]:
-    """id -> concept_names from a records-style JSONL, extra fields ignored."""
-    mapping: dict[str, list[str]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pair_id, names = obj["id"], list(obj["concept_names"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: bad pair row on line {lineno}: {exc}") from exc
-            if pair_id in mapping:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {pair_id!r}")
-            mapping[pair_id] = names
-    if not mapping:
-        raise ValueError(f"{path}: no pairs found")
-    return mapping
 
 
 def cmd_congruence(args) -> None:
@@ -350,7 +281,7 @@ def cmd_congruence(args) -> None:
         if not (args.pairs and args.concept_store):
             raise ValueError("--pairs and --concept-store must be given together")
         concept_store = stores.read_store(args.concept_store)
-        concept_map = _read_concept_map(args.pairs)
+        concept_map = stores.read_concept_map(args.pairs)
         knowledge = []
         for name in text_store.names:
             if name not in concept_map:
@@ -363,11 +294,9 @@ def cmd_congruence(args) -> None:
         knowledge_vecs=knowledge,
         ids=list(text_store.names),
     )
-    augmented = cong.augment_with_knowledge(pairs) if knowledge is not None else None
-    rep = cong.report(pairs, augmented)
-    out = _out_dir(args)
-    _write_json(rep.to_dict(), out / "congruence.json")
-    cong.write_pair_csv(pairs, out / "pairs.csv", augmented)
+    rep = cong.report(pairs)
+    _write_json(rep.to_dict(), args.out / "congruence.json")
+    cong.write_pair_csv(rep, args.out / "pairs.csv")
     line = (
         f"congruence: centroid_distance={rep.centroid_distance:.6f} "
         f"mean_cosine={rep.mean_pairwise_cosine:.6f}"
@@ -387,81 +316,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name, func, summary, section=None, seeded=False, config_only=(), **defaults):
+        """A subcommand and its settings, the keys config[section] may hold:
+        the flags added through the returned `setting`, the seed when
+        `seeded`, and `config_only`. `defaults` are those of the settings
+        that no config dataclass holds."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, help="top-level seed (default 0)")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, type=Path, help="output directory")
+        settings = dict.fromkeys(("seed",) if seeded else ()) | dict.fromkeys(config_only)
+        p.set_defaults(func=func, section=section, settings=settings)
 
-    p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--class-ratio", dest="class_ratio", type=float)
-    p.add_argument("--signal", type=float, help="concept signal strength in [0, 1]")
-    p.add_argument("--concept-dim", dest="concept_dim", type=int)
-    p.add_argument("--n-concepts", dest="n_concepts", type=int)
-    p.add_argument("--concepts-per-record", dest="concepts_per_record", type=int)
-    p.set_defaults(func=cmd_synth)
+        def setting(flag, **kwargs):
+            dest = p.add_argument(flag, **kwargs).dest
+            settings[dest] = defaults.get(dest)
 
-    p = sub.add_parser("train-kge", help="train knowledge-graph embeddings")
-    common(p)
+        return p, setting
+
+    p, setting = command("synth", cmd_synth, "generate a synthetic labelled dataset",
+                         "synth", seeded=True)
+    setting("--n", type=int)
+    setting("--dim", type=int)
+    setting("--class-ratio", type=float)
+    setting("--signal", dest="concept_signal_strength", type=float,
+            help="concept signal strength in [0, 1]")
+    setting("--concept-dim", type=int)
+    setting("--n-concepts", type=int)
+    setting("--concepts-per-record", type=int)
+
+    p, setting = command("train-kge", cmd_train_kge, "train knowledge-graph embeddings",
+                         "kge", seeded=True, format="tsv", heldout=10)
     p.add_argument("--triples", required=True)
-    p.add_argument("--format", choices=("tsv", "conceptnet-csv"))
-    p.add_argument("--kind", choices=kge.KINDS)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--norm", choices=("l1", "l2"))
-    p.add_argument("--heldout", type=int, help="triples held out for evaluation")
-    p.set_defaults(func=cmd_train_kge)
+    setting("--format", choices=("tsv", "conceptnet-csv"))
+    setting("--kind", choices=kge.KINDS)
+    setting("--dim", type=int)
+    setting("--epochs", type=int)
+    setting("--lr", dest="learning_rate", type=float)
+    setting("--margin", type=float)
+    setting("--negatives", dest="negatives_per_positive", type=int)
+    setting("--norm", choices=("l1", "l2"))
+    setting("--heldout", type=int, help="triples held out for evaluation")
 
-    p = sub.add_parser("retrieve", help="top-k concept retrieval for query vectors")
-    common(p)
+    p, setting = command("retrieve", cmd_retrieve, "top-k concept retrieval for query vectors",
+                         "retrieval", k=10)
     p.add_argument("--concepts", required=True, help="concept embedding store")
     p.add_argument("--queries", required=True, help="query embedding store")
-    p.add_argument(
-        "--caption-queries",
-        dest="caption_queries",
-        help="optional caption store; queries become the combined text+caption vector",
-    )
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_retrieve)
+    p.add_argument("--caption-queries",
+                   help="optional caption store; queries become the combined text+caption vector")
+    setting("--k", type=int)
 
-    p = sub.add_parser("train-fusion", help="train the fusion classifier")
-    common(p)
+    p, setting = command("train-fusion", cmd_train_fusion, "train the fusion classifier",
+                         "fusion", seeded=True,
+                         config_only=("multimodal_dim", "knowledge_dim", "warmup_fraction",
+                                      "early_stop_patience"))
     p.add_argument("--records", required=True)
-    p.add_argument("--mm-store", dest="mm_store", required=True)
-    p.add_argument("--concept-store", dest="concept_store", required=True)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-sweep", dest="lr_sweep", action="store_true",
+    p.add_argument("--mm-store", required=True)
+    p.add_argument("--concept-store", required=True)
+    setting("--lr", dest="learning_rate", type=float)
+    p.add_argument("--lr-sweep", action="store_true",
                    help=f"try learning rates {LR_SWEEP} and keep the better val accuracy")
-    p.add_argument("--no-knowledge", dest="no_knowledge", action="store_true",
+    p.add_argument("--no-knowledge", action="store_true",
                    help="ablation: classify the projected multimodal vector alone")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--train-concepts", dest="train_concepts", action="store_true",
-                   help="also fine-tune concept vectors")
-    p.set_defaults(func=cmd_train_fusion)
+    setting("--epochs", type=int)
+    setting("--batch-size", type=int)
+    setting("--d-model", type=int)
+    setting("--heads", dest="num_heads", type=int)
+    setting("--train-concepts", action="store_const", const=True,
+            help="also fine-tune concept vectors")
 
-    p = sub.add_parser("predict", help="classify records with a saved checkpoint")
-    common(p)
+    p, _ = command("predict", cmd_predict, "classify records with a saved checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--records", required=True)
-    p.add_argument("--mm-store", dest="mm_store", required=True)
-    p.add_argument("--concept-store", dest="concept_store", required=True)
-    p.set_defaults(func=cmd_predict)
+    p.add_argument("--mm-store", required=True)
+    p.add_argument("--concept-store", required=True)
 
-    p = sub.add_parser("congruence", help="text/image congruence report")
-    common(p)
-    p.add_argument("--text-store", dest="text_store", required=True)
-    p.add_argument("--image-store", dest="image_store", required=True)
-    p.add_argument("--concept-store", dest="concept_store")
+    p, _ = command("congruence", cmd_congruence, "text/image congruence report")
+    p.add_argument("--text-store", required=True)
+    p.add_argument("--image-store", required=True)
+    p.add_argument("--concept-store")
     p.add_argument("--pairs", help="JSONL mapping pair id to concept_names")
-    p.set_defaults(func=cmd_congruence)
 
     return parser
 
@@ -473,6 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _resolve(args)
+        args.out.mkdir(parents=True, exist_ok=True)
         args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,10 +60,16 @@ class ModalityPairSet:
 
 @dataclass
 class CongruenceReport:
+    """Summary figures plus the per-pair cosines they rest on; `ids` and the
+    cosines feed `write_pair_csv`, and `to_dict` leaves them out."""
+
     centroid_distance: float
     mean_pairwise_cosine: float
     histogram_edges: list[float]
     histogram_counts: list[int]
+    ids: list[str]
+    cosines: np.ndarray
+    cosines_with: np.ndarray | None = None
     centroid_distance_with: float | None = None
     mean_pairwise_cosine_with: float | None = None
     histogram_counts_with: list[int] | None = None
@@ -149,9 +155,9 @@ def _histogram(cosines: np.ndarray) -> tuple[list[float], list[int]]:
     return edges.tolist(), counts.tolist()
 
 
-def report(pairs: ModalityPairSet, augmented: ModalityPairSet | None = None) -> CongruenceReport:
+def report(pairs: ModalityPairSet) -> CongruenceReport:
     """Congruence summary, with and (when knowledge is present) without
-    knowledge augmentation, which the caller may pass in as `augmented`.
+    knowledge augmentation.
 
     relative_similarity_change = (cos_with - cos_without) / |cos_without|
     on the mean pairwise cosine.
@@ -165,15 +171,15 @@ def report(pairs: ModalityPairSet, augmented: ModalityPairSet | None = None) -> 
         mean_pairwise_cosine=float(cosines.mean()),
         histogram_edges=edges,
         histogram_counts=counts,
+        ids=list(pairs.ids),
+        cosines=cosines,
     )
     if pairs.knowledge_vecs is not None:
-        if augmented is None:
-            augmented = augment_with_knowledge(pairs)
-        cos_with = pairwise_cosines(augmented)
-        _, counts_with = _histogram(cos_with)
+        augmented = augment_with_knowledge(pairs)
+        rep.cosines_with = pairwise_cosines(augmented)
+        _, rep.histogram_counts_with = _histogram(rep.cosines_with)
         rep.centroid_distance_with = _centroid_distance(augmented)
-        rep.mean_pairwise_cosine_with = float(cos_with.mean())
-        rep.histogram_counts_with = counts_with
+        rep.mean_pairwise_cosine_with = float(rep.cosines_with.mean())
         without = rep.mean_pairwise_cosine
         if without == 0.0:
             raise ValueError(
@@ -185,24 +191,17 @@ def report(pairs: ModalityPairSet, augmented: ModalityPairSet | None = None) -> 
     return rep
 
 
-def write_pair_csv(pairs: ModalityPairSet, path: str | Path,
-                   augmented: ModalityPairSet | None = None) -> None:
-    """Per-pair cosine CSV: pair_id, cos_without, cos_with; `augmented` as for report."""
-    cos_without = pairwise_cosines(pairs)
-    if pairs.knowledge_vecs is not None:
-        if augmented is None:
-            augmented = augment_with_knowledge(pairs)
-        cos_with = pairwise_cosines(augmented)
-    else:
-        cos_with = None
+def write_pair_csv(rep: CongruenceReport, path: str | Path) -> None:
+    """Per-pair cosine CSV: pair_id, cos_without, cos_with (empty without
+    knowledge)."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "cos_without", "cos_with"])
-        for i, pid in enumerate(pairs.ids):
+        for i, pid in enumerate(rep.ids):
             writer.writerow(
                 [
                     pid,
-                    repr(float(cos_without[i])),
-                    "" if cos_with is None else repr(float(cos_with[i])),
+                    repr(float(rep.cosines[i])),
+                    "" if rep.cosines_with is None else repr(float(rep.cosines_with[i])),
                 ]
             )

@@ -11,7 +11,7 @@ Binary store layout (little endian throughout):
 
 Campaign records travel as JSON lines, one object per record with fields
 id, vec_name (a row name in a multimodal store), concept_names (row names
-in a concept store) and label.
+in a concept store) and label. Each id appears on one line only.
 """
 from __future__ import annotations
 
@@ -221,15 +221,15 @@ def write_records_jsonl(
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def read_records_jsonl(
-    path: str | Path, mm_store: EmbeddingStore, concept_store: EmbeddingStore
-) -> list[CampaignRecord]:
-    """Resolve a JSONL records file against its stores.
+def _records_style_rows(path: str | Path, *extra: str):
+    """Yield (line number, id, concept_names, *extra fields) for each
+    non-blank line of a records-style JSONL file.
 
-    Raises ValueError on malformed lines or unresolvable names, with the
-    line number in the message.
+    Raises ValueError, naming the line, on malformed JSON, a missing field,
+    concept_names that are not a list of strings, or an id that an earlier
+    line already used; and when the file holds no records.
     """
-    records: list[CampaignRecord] = []
+    first_line: dict = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -237,37 +237,62 @@ def read_records_jsonl(
                 continue
             try:
                 obj = json.loads(line)
-                rec_id = obj["id"]
-                vec_name = obj["vec_name"]
-                concept_names = obj["concept_names"]
-                label = obj["label"]
+                rec_id, names, *values = (obj[key] for key in ("id", "concept_names", *extra))
+                first = first_line.setdefault(rec_id, lineno)  # TypeError if unhashable
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: bad record on line {lineno}: {exc}") from exc
-            # Only the JSON integers 0 and 1: int() would also turn 1.7,
-            # true and "1" into labels.
-            if type(label) is not int or label not in (0, 1):
+            if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
+                raise ValueError(f"{path}: line {lineno}: concept_names must be a list of names")
+            if first != lineno:
                 raise ValueError(
-                    f"{path}: line {lineno}: label must be the integer 0 or 1, got {label!r}"
+                    f"{path}: line {lineno}: duplicate id {rec_id!r} (first on line {first})"
                 )
-            if vec_name not in mm_store:
-                raise ValueError(
-                    f"{path}: line {lineno}: vec_name {vec_name!r} not in store"
-                )
-            try:
-                ids = [concept_store.row_index(c) for c in concept_names]
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(
-                CampaignRecord(
-                    id=rec_id,
-                    multimodal_vec=mm_store.row(vec_name).copy(),
-                    concept_ids=ids,
-                    label=label,
-                )
-            )
-    if not records:
+            yield lineno, rec_id, names, *values
+    if not first_line:
         raise ValueError(f"{path}: no records found")
+
+
+def read_records_jsonl(
+    path: str | Path, mm_store: EmbeddingStore, concept_store: EmbeddingStore
+) -> list[CampaignRecord]:
+    """Resolve a JSONL records file against its stores.
+
+    Raises ValueError on malformed lines, repeated ids or unresolvable
+    names, with the line number in the message.
+    """
+    records: list[CampaignRecord] = []
+    for lineno, rec_id, concept_names, vec_name, label in _records_style_rows(
+        path, "vec_name", "label"
+    ):
+        # Only the JSON integers 0 and 1: int() would also turn 1.7,
+        # true and "1" into labels.
+        if type(label) is not int or label not in (0, 1):
+            raise ValueError(
+                f"{path}: line {lineno}: label must be the integer 0 or 1, got {label!r}"
+            )
+        if not isinstance(vec_name, str) or vec_name not in mm_store:
+            raise ValueError(
+                f"{path}: line {lineno}: vec_name {vec_name!r} not in store"
+            )
+        try:
+            ids = [concept_store.row_index(c) for c in concept_names]
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        records.append(
+            CampaignRecord(
+                id=rec_id,
+                multimodal_vec=mm_store.row(vec_name).copy(),
+                concept_ids=ids,
+                label=label,
+            )
+        )
     return records
+
+
+def read_concept_map(path: str | Path) -> dict[str, list[str]]:
+    """id -> concept_names from a records-style JSONL, other fields ignored;
+    rejects what read_records_jsonl rejects in those two fields."""
+    return {rec_id: names for _, rec_id, names in _records_style_rows(path)}
 
 
 @dataclass

@@ -1,7 +1,14 @@
 """Shared fixtures: a small solvable graph and helpers for on-disk files."""
 from __future__ import annotations
 
-from pathlib import Path
+import os
+
+# One BLAS thread, as in CI, before the knowfuse import below loads numpy:
+# timed tests then do not slow down when the suite shares its cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from pathlib import Path  # noqa: E402
 
 import pytest
 

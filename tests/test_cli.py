@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from knowfuse import congruence, retrieval
+from knowfuse import congruence, fusion, retrieval
 from knowfuse.cli import derive_seed, main
 from knowfuse.fusion import FusionConfig, load_checkpoint
 from knowfuse.kge import KgeTrainConfig
@@ -317,6 +317,45 @@ class TestTrainFusionAndPredict:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["lr_selected"] in (1e-4, 5e-5)
 
+    def test_lr_sweep_scores_each_split_once(self, data, tmp_path, monkeypatch):
+        # Each swept lr is judged by its history's best val_acc, the accuracy
+        # of the weights train_classifier restores, so the validation split
+        # is scored again only for metrics.json.
+        scored = []
+        original = fusion.evaluate_records
+        monkeypatch.setattr(fusion, "evaluate_records",
+                            lambda net, recs, *a: scored.append(len(recs)) or original(net, recs, *a))
+        out = tmp_path / "model"
+        assert main(_fusion_args(data, out, "--lr-sweep", "--train-concepts")) == 0
+        assert len(scored) == 3 and sum(scored) == 60  # train, val, test
+        metrics = json.loads((out / "metrics.json").read_text())
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert metrics["val"]["accuracy"] == max(float(row.split(",")[4]) for row in rows)
+
+    def test_lr_sweep_without_epochs_keeps_first_lr(self, data, tmp_path):
+        out = tmp_path / "model"
+        argv = _fusion_args(data, out, "--lr-sweep")
+        argv[argv.index("--epochs") + 1] = "0"
+        assert main(argv) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["lr_selected"] == 1e-4 and metrics["epochs_ran"] == 0
+
+    def test_duplicate_record_id_exits_one(self, data, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(_fusion_args(data, model)) == 0
+        records = data / "records.jsonl"
+        lines = records.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace(json.loads(lines[5])["id"], json.loads(lines[4])["id"])
+        records.write_text("".join(lines))
+        capsys.readouterr()
+        assert main([
+            "predict", "--checkpoint", str(model / "fusion.ckpt"), "--records", str(records),
+            "--mm-store", str(data / "multimodal.emb"),
+            "--concept-store", str(data / "concepts.emb"), "--out", str(tmp_path / "pred"),
+        ]) == 1
+        assert "line 6: duplicate id 'rec_04' (first on line 5)" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+
     def test_no_knowledge_flag(self, data, tmp_path):
         out = tmp_path / "model"
         assert main(_fusion_args(data, out, "--no-knowledge")) == 0
@@ -456,7 +495,7 @@ class TestCongruence:
         pairs = congruence.ModalityPairSet(text.vectors, image.vectors, knowledge,
                                            list(text.names))
         want_csv = tmp_path / "want.csv"
-        congruence.write_pair_csv(pairs, want_csv)
+        congruence.write_pair_csv(congruence.report(pairs), want_csv)
         want_json = json.dumps(congruence.report(pairs).to_dict(), sort_keys=True, indent=2)
 
         calls = []
@@ -473,6 +512,19 @@ class TestCongruence:
         assert len(calls) == 1
         assert (out / "pairs.csv").read_bytes() == want_csv.read_bytes()
         assert (out / "congruence.json").read_text() == want_json + "\n"
+
+    def test_cosines_computed_once(self, modality_files, tmp_path, monkeypatch):
+        calls = []
+        original = congruence.pairwise_cosines
+        monkeypatch.setattr(congruence, "pairwise_cosines",
+                            lambda p: calls.append(p) or original(p))
+        assert main([
+            "congruence", "--text-store", str(modality_files["text"]),
+            "--image-store", str(modality_files["image"]),
+            "--concept-store", str(modality_files["concepts"]),
+            "--pairs", str(modality_files["pairs"]), "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(calls) == 2  # without and with knowledge
 
     def test_duplicate_pair_id_exits_one(self, modality_files, tmp_path, capsys):
         pairs = modality_files["pairs"]
@@ -562,6 +614,64 @@ class TestConfigFile:
         assert {len(r["concept_names"]) for r in rows} == {
             SynthConfig().concepts_per_record
         }
+
+    def test_misspelled_section_key_exits_one(self, toy_tsv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kge": {"lerning_rate": 0.5, "epoch": 3}}))
+        argv = ["train-kge", "--triples", str(toy_tsv), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown kge settings ['epoch', 'lerning_rate']\n"
+
+    @pytest.mark.parametrize("config", [
+        {"retrieval_k": 3},  # the old second name of retrieval.k
+        {"retrieval": {"seed": 1}},  # retrieve reads no seed
+        {"retrieval": {"k": 3, "kind": "transe"}},  # a train-kge setting
+    ])
+    def test_retrieve_rejects_unknown_keys(self, config, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore(dim=4, names=[f"c{i}" for i in range(6)],
+                               vectors=rng.normal(size=(6, 4)))
+        write_store(store, tmp_path / "c.emb")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["retrieve", "--concepts", str(tmp_path / "c.emb"), "--queries",
+                str(tmp_path / "c.emb"), "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert re.fullmatch(r"error: unknown (config keys|retrieval settings) \[.*\]\n",
+                            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("config", [[1], {"fusion": [1]}])
+    def test_non_object_config_exits_one(self, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train-fusion", "--records", "r", "--mm-store", "m",
+                     "--concept-store", "c", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_config_k_and_seeds(self, tmp_path):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore(dim=4, names=[f"c{i}" for i in range(12)],
+                               vectors=rng.normal(size=(12, 4)))
+        write_store(store, tmp_path / "c.emb")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 5, "retrieval": {"k": 3}}))
+        out = tmp_path / "out"
+        assert main(["retrieve", "--concepts", str(tmp_path / "c.emb"), "--queries",
+                     str(tmp_path / "c.emb"), "--config", str(path), "--out", str(out)]) == 0
+        assert {len(r["concepts"]) for r in _read_jsonl(out / "retrieved.jsonl")} == {3}
+        # The seed: flag > section > top level > 0.
+        for config, flag, want in (({"seed": 5}, [], 5), ({"seed": 5, "synth": {"seed": 6}}, [], 6),
+                                   ({"seed": 5, "synth": {"seed": 6}}, ["--seed", "7"], 7),
+                                   ({}, [], 0)):
+            path.write_text(json.dumps(config))
+            a, b = tmp_path / "a", tmp_path / "b"
+            assert main(["synth", "--n", "20", "--dim", "4", "--config", str(path), *flag,
+                         "--out", str(a)]) == 0
+            assert main(["synth", "--n", "20", "--dim", "4", "--seed", str(want),
+                         "--out", str(b)]) == 0
+            assert (a / "multimodal.emb").read_bytes() == (b / "multimodal.emb").read_bytes()
 
     def test_float_integers_are_errors(self, toy_tsv, tmp_path, capsys):
         config = tmp_path / "config.json"

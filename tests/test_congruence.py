@@ -182,7 +182,7 @@ class TestWritePairCsv:
     def test_round_trip_exact_floats(self, tmp_path):
         pairs = _random_pairs(6, 8, seed=9)
         path = tmp_path / "pairs.csv"
-        write_pair_csv(pairs, path)
+        write_pair_csv(report(pairs), path)
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
@@ -195,7 +195,7 @@ class TestWritePairCsv:
     def test_no_knowledge_leaves_column_blank(self, tmp_path):
         pairs = _random_pairs(3, 8, seed=10, with_knowledge=False)
         path = tmp_path / "pairs.csv"
-        write_pair_csv(pairs, path)
+        write_pair_csv(report(pairs), path)
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["cos_with"] == "" for row in rows)

@@ -19,6 +19,7 @@ from knowfuse.stores import (
     CampaignRecord,
     EmbeddingStore,
     SynthConfig,
+    read_concept_map,
     read_records_jsonl,
     read_store,
     records_to_store,
@@ -240,6 +241,55 @@ class TestRecordsJsonl:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match="line 1"):
             read_records_jsonl(path, mm_store, concept_store)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
+        mm_store = records_to_store(records)
+        path = tmp_path / "dup.jsonl"
+        write_records_jsonl(records, concept_store, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["id"] = json.loads(lines[4])["id"]
+        lines[5] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 6: duplicate id 'rec_4' \\(first on line 5\\)"):
+            read_records_jsonl(path, mm_store, concept_store)
+        with pytest.raises(ValueError, match="line 6: duplicate id"):
+            read_concept_map(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"id": ["x"], "vec_name": "rec_0", "concept_names": [], "label": 0}',
+        '{"id": "x", "vec_name": "rec_0", "concept_names": 3, "label": 0}',
+        '{"id": "x", "vec_name": "rec_0", "concept_names": "concept_0000", "label": 0}',
+        '{"id": "x", "vec_name": "rec_0", "concept_names": [["concept_0000"]], "label": 0}',
+        '["id", "concept_names"]',
+    ])
+    def test_bad_id_or_concept_names_rejected(self, tmp_path, line):
+        records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
+        mm_store = records_to_store(records)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_records_jsonl(path, mm_store, concept_store)
+        with pytest.raises(ValueError, match="line 2"):
+            read_concept_map(path)
+
+    def test_non_string_vec_name(self, tmp_path):
+        records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
+        path = tmp_path / "bad.jsonl"
+        obj = {"id": "x", "vec_name": ["rec_0"], "concept_names": [], "label": 0}
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match="line 1: vec_name"):
+            read_records_jsonl(path, records_to_store(records), concept_store)
+
+    def test_concept_map(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"id": "a", "concept_names": ["x", "y"], "extra": 1}\n\n'
+                        '{"id": "b", "concept_names": []}\n')
+        assert read_concept_map(path) == {"a": ["x", "y"], "b": []}
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="no records"):
+            read_concept_map(path)
 
     def test_empty_file_rejected(self, tmp_path):
         records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
