@@ -24,7 +24,7 @@ import numpy as np
 
 from . import congruence as cong
 from . import fusion, kge, metrics, retrieval, stores
-from .errors import KnowfuseError
+from .errors import KnowfuseError, check_value
 from .kg import holdout_split, load_triples
 
 LR_SWEEP = (1e-4, 5e-5)
@@ -36,6 +36,7 @@ CONFIG_KEYS = {*TOP_LEVEL, "synth", "kge", "retrieval", "fusion"}
 
 def derive_seed(base: int, stage: str) -> int:
     """Stable per-stage child seed from the top-level seed."""
+    check_value("seed", base, int)
     digest = hashlib.sha256(f"{base}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
 
@@ -52,7 +53,7 @@ def _resolve(args) -> None:
     the config dataclass's own default. The seed falls back to the
     config's top level, then 0."""
     config = {}
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:  # a command with no section has no --config
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
@@ -61,6 +62,9 @@ def _resolve(args) -> None:
     if not isinstance(section, dict):
         raise ValueError(f"config {args.section!r} must be a JSON object")
     _reject_unknown(section, args.settings, f"{args.section} settings")
+    for key, value in section.items():
+        if value is None:
+            raise ValueError(f"config {args.section}.{key} must not be null")
     for key, default in args.settings.items():
         if getattr(args, key, None) is None:  # config-only keys have no flag
             setattr(args, key, section.get(key, default))
@@ -98,6 +102,10 @@ def _write_csv(header: list[str], rows, path: Path) -> None:
 
 def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
     """Shuffle and split by the configured split shape, scaled to n."""
+    if not isinstance(shape, dict) or sorted(shape) != ["test", "train", "val"]:
+        raise ValueError(f"splits must be an object of exactly train, val and test, got {shape!r}")
+    for key, value in shape.items():
+        check_value(f"splits.{key}", value, float, min=0, open=True)
     n = len(records)
     total = shape["train"] + shape["val"] + shape["test"]
     n_val = int(round(n * shape["val"] / total))
@@ -203,8 +211,6 @@ def cmd_train_fusion(args) -> None:
     for key, store in (("multimodal_dim", mm_store), ("knowledge_dim", concept_store)):
         if getattr(args, key) is None:
             setattr(args, key, store.dim)
-    if args.train_concepts is not None:  # a config file may hold any JSON value
-        args.train_concepts = bool(args.train_concepts)
 
     results = [
         fusion.train_classifier(train, concept_store, _build(
@@ -317,13 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, section=None, seeded=False, config_only=(), **defaults):
-        """A subcommand and its settings, the keys config[section] may hold:
-        the flags added through the returned `setting`, the seed when
-        `seeded`, and `config_only`. `defaults` are those of the settings
-        that no config dataclass holds."""
+        """A subcommand, with --config if it has a config `section` and --seed if
+        `seeded`. Its settings, the keys config[section] may hold, are the flags
+        added through the returned `setting`, the seed if `seeded`, and
+        `config_only`; `defaults` are those that no config dataclass holds."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="top-level seed (default 0)")
+        if section:
+            p.add_argument("--config", help="JSON config file; flags override it")
+        if seeded:
+            p.add_argument("--seed", type=int, help="top-level seed (default 0)")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         settings = dict.fromkeys(("seed",) if seeded else ()) | dict.fromkeys(config_only)
         p.set_defaults(func=func, section=section, settings=settings)

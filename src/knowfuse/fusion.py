@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     StoreFormatError,
     TrainingDivergedError,
     TruncatedStoreError,
-    check_int_fields,
+    check_fields,
 )
 from .stores import CampaignRecord, EmbeddingStore
 
@@ -50,42 +50,26 @@ DEFAULT_VAL_SHARE = DEFAULT_SPLIT_SHAPE["val"] / (
 
 @dataclass
 class FusionConfig:
-    d_model: int = 256
-    num_heads: int = 4
-    multimodal_dim: int = 768
-    knowledge_dim: int = 256
-    learning_rate: float = 5e-5
-    warmup_fraction: float = 0.1
-    batch_size: int = 16
-    epochs: int = 50
-    early_stop_patience: int = 5
+    d_model: int = field(default=256, metadata={"min": 1})
+    num_heads: int = field(default=4, metadata={"min": 1})
+    multimodal_dim: int = field(default=768, metadata={"min": 1})
+    knowledge_dim: int = field(default=256, metadata={"min": 1})
+    learning_rate: float = field(default=5e-5, metadata={"min": 0})
+    warmup_fraction: float = field(default=0.1, metadata={"min": 0, "max": 1})
+    batch_size: int = field(default=16, metadata={"min": 1})
+    epochs: int = field(default=50, metadata={"min": 0})
+    early_stop_patience: int = field(default=5, metadata={"min": 1})
     seed: int = 0
     use_knowledge: bool = True
     train_concepts: bool = False
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
-        if self.d_model < 1 or self.num_heads < 1:
-            raise ValueError("d_model and num_heads must be positive")
+        check_fields(self)
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} must divide evenly into "
                 f"{self.num_heads} heads"
             )
-        if self.multimodal_dim < 1 or self.knowledge_dim < 1:
-            raise ValueError("embedding dims must be positive")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -154,8 +138,13 @@ class FusionNet:
                 bound = 1.0 / np.sqrt(param.shape[-2])
                 param[...] = rng.uniform(-bound, bound, size=param.shape)
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.PARAM_NAMES}
+    @classmethod
+    def from_flat(cls, cfg: FusionConfig, flat: np.ndarray) -> FusionNet:
+        """A net whose parameters are views into `flat`, with no random draw."""
+        net = cls.__new__(cls)
+        net.cfg = cfg
+        vars(net).update(_views(flat, cfg))
+        return net
 
 
 @dataclass
@@ -556,8 +545,7 @@ def load_checkpoint(path: str | Path) -> FusionNet:
     sidecar = path.with_name(path.name + ".json")
     if sidecar.exists():
         try:
-            cfg_dict = json.loads(sidecar.read_text())
-            cfg = FusionConfig(**cfg_dict)
+            cfg = FusionConfig(**json.loads(sidecar.read_text()))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"{sidecar}: bad config sidecar: {exc}") from exc
         if _header(cfg) != header:
@@ -579,6 +567,4 @@ def load_checkpoint(path: str | Path) -> FusionNet:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteError(f"{path}: non-finite value at parameter {bad[0]}")
-    net = FusionNet(cfg, rng=np.random.default_rng(0))
-    net.flat[...] = values
-    return net
+    return FusionNet.from_flat(cfg, values.astype(np.float64))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, TripleLoadError
+from .errors import CorruptionError, TripleLoadError, check_value
 
 log = logging.getLogger(__name__)
 
@@ -259,10 +259,7 @@ def holdout_split(
 
     The training graph keeps the remaining triples in their original order.
     """
-    if not 0 < count < len(kg.triples):
-        raise ValueError(
-            f"holdout count must be in (0, {len(kg.triples)}), got {count}"
-        )
+    check_value("heldout", count, int, min=1, max=len(kg.triples) - 1)
     rng = np.random.default_rng(seed)
     chosen = set(rng.choice(len(kg.triples), size=count, replace=False).tolist())
     heldout = [t for i, t in enumerate(kg.triples) if i in chosen]

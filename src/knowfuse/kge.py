@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteScoreError, TrainingDivergedError, check_int_fields
+from .errors import NonFiniteScoreError, TrainingDivergedError, check_fields
 from .kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt
 
 KINDS = ("transe", "rotate", "distmult")
@@ -56,33 +56,19 @@ class BatchGrad(NamedTuple):
 
 @dataclass
 class KgeTrainConfig:
-    kind: str = "transe"
-    dim: int = 256
-    learning_rate: float = 0.001
-    margin: float = 1.0
-    epochs: int = 100
-    negatives_per_positive: int = 1
-    norm: str = "l2"
+    kind: str = field(default="transe", metadata={"choices": KINDS})
+    dim: int = field(default=256, metadata={"min": 1})
+    learning_rate: float = field(default=0.001, metadata={"min": 0})
+    margin: float = field(default=1.0, metadata={"min": 0})
+    epochs: int = field(default=100, metadata={"min": 0})
+    negatives_per_positive: int = field(default=1, metadata={"min": 1})
+    norm: str = field(default="l2", metadata={"choices": ("l1", "l2")})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        check_fields(self)
         if self.kind == "rotate" and self.dim % 2 != 0:
             raise ValueError("rotate needs an even dim (interleaved re/im pairs)")
-        for name in ("learning_rate", "margin"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
 
 
 @dataclass

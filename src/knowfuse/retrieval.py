@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_value
 from .stores import EmbeddingStore
 
 # Bytes one block of float64 scores may take; the query rows per block follow
@@ -67,10 +68,9 @@ def top_k(index: ConceptIndex, queries: np.ndarray, k: int):
     pairs, or a `[Q, dim]` matrix, which returns one such list per row.
     Scores are clipped into [-1, 1], descending, ties by insertion order.
     Fewer than k usable rows returns all of them. Raises ValueError on a dim
-    mismatch, a zero-norm or non-finite query row, or k < 1.
+    mismatch, a zero-norm or non-finite query row, or k not an int >= 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_value("k", k, int, min=1)
     q = np.asarray(queries)
     single = q.ndim <= 1
     if single:

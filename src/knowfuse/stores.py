@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteError,
     StoreFormatError,
     TruncatedStoreError,
-    check_int_fields,
+    check_fields,
 )
 
 STORE_MAGIC = b"EMBSTOR1"
@@ -305,35 +305,19 @@ class SynthConfig:
     makes concepts pure noise and 1 makes them (nearly) determine the label.
     """
 
-    n: int = 1000
-    dim: int = 768
-    class_ratio: float = 0.6063
-    concept_signal_strength: float = 1.0
+    n: int = field(default=1000, metadata={"min": 10})
+    dim: int = field(default=768, metadata={"min": 1})
+    class_ratio: float = field(default=0.6063, metadata={"min": 0, "max": 1, "open": True})
+    concept_signal_strength: float = field(default=1.0, metadata={"min": 0, "max": 1})
     seed: int = 0
-    concept_dim: int = 256
-    n_concepts: int = 50
-    concepts_per_record: int = 10
-    cluster_separation: float = 1.0
+    concept_dim: int = field(default=256, metadata={"min": 1})
+    n_concepts: int = field(default=50, metadata={"min": 4, "even": True})
+    concepts_per_record: int = field(default=10, metadata={"min": 1})
+    # A negative separation would swap the two class clusters.
+    cluster_separation: float = field(default=1.0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
-        if self.n < 10:
-            raise ValueError(f"n must be >= 10, got {self.n}")
-        if not 0.0 < self.class_ratio < 1.0:
-            raise ValueError(
-                f"class_ratio must be strictly inside (0, 1), got {self.class_ratio}"
-            )
-        if not 0.0 <= self.concept_signal_strength <= 1.0:
-            raise ValueError("concept_signal_strength must be in [0, 1]")
-        if self.n_concepts < 4 or self.n_concepts % 2 != 0:
-            raise ValueError("n_concepts must be an even number >= 4")
-        if self.concepts_per_record < 1:
-            raise ValueError("concepts_per_record must be >= 1")
-        # A negative separation would swap the two class clusters.
-        if not (np.isfinite(self.cluster_separation) and self.cluster_separation >= 0.0):
-            raise ValueError(
-                f"cluster_separation must be finite and >= 0, got {self.cluster_separation}"
-            )
+        check_fields(self)
 
 
 def synth_dataset(cfg: SynthConfig) -> tuple[list[CampaignRecord], EmbeddingStore]:

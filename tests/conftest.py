@@ -8,11 +8,22 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import pytest
 
+from knowfuse.cli import build_parser
 from knowfuse.kg import KnowledgeGraph, load_triples
+
+
+def cli_sections() -> dict[str, tuple[str, list[str]]]:
+    """Each subcommand that reads a config section: its section name and
+    the keys that section may hold, as build_parser declares them."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: (p.get_default("section"), list(p.get_default("settings")))
+            for name, p in sub.choices.items() if p.get_default("section")}
 
 
 def pair_bundle_rows() -> list[tuple[str, str, str]]:

@@ -129,7 +129,7 @@ def backward(net: FusionNet, trace: ForwardTrace, label: int) -> dict[str, np.nd
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     cfg = net.cfg
-    g = {name: np.zeros_like(p) for name, p in net.params().items()}
+    g = {name: np.zeros_like(getattr(net, name)) for name in net.PARAM_NAMES}
 
     p = _softmax(trace.logits)
     dz = p.copy()

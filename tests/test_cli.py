@@ -585,7 +585,7 @@ class TestConfigFile:
         assert main(_synth_args(data)) == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"fusion": {
-            "epochs": 1, "batch_size": 4, "warmup_fraction": 0.5, "train_concepts": 1,
+            "epochs": 1, "batch_size": 4, "warmup_fraction": 0.5, "train_concepts": True,
         }}))
         out = tmp_path / "model"
         argv = _fusion_args(data, out, "--config", str(config))

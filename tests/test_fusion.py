@@ -483,6 +483,19 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        net = FusionNet(_small_fusion_cfg(seed=5))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        back = load_checkpoint(path)
+        assert np.array_equal(back.flat, net.flat.astype(np.float32).astype(np.float64))
+        assert back.attn_q.base is not None and np.shares_memory(back.attn_q, back.flat)
+
     def test_loads_without_sidecar(self, tmp_path):
         net = FusionNet(_small_fusion_cfg(seed=5))
         path = tmp_path / "net.ckpt"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from knowfuse.cli import main
 
-from conftest import pair_bundle_rows, write_tsv
+from conftest import cli_sections, pair_bundle_rows, write_tsv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +31,12 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     assert len(namespace["hits"]) == 5
     assert namespace["label"] in (0, 1)
     assert abs(namespace["p0"] + namespace["p1"] - 1.0) < 1e-12
+
+
+def test_config_table_lists_each_sections_keys():
+    section = README.read_text().split("### Config file", 1)[1].split("\n## ", 1)[0]
+    documented: dict[str, list[str]] = {}
+    for name, key in re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.M):
+        documented.setdefault(name, []).append(key)
+    declared = {name: sorted(keys) for name, keys in cli_sections().values()}
+    assert {name: sorted(keys) for name, keys in documented.items()} == declared
