@@ -3,7 +3,7 @@
 Submodules:
     kg          triple loading, vocabularies, filtered corruption
     kge         TransE / RotatE / DistMult training and link prediction
-    stores      binary embedding stores, record files, synthetic data
+    stores      embedding stores, records, synthetic data, file readers/writers
     retrieval   exact cosine top-k concept retrieval
     fusion      cross-attention fusion classifier, trained from scratch
     congruence  text/image congruence diagnostics

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation or contract failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -82,24 +81,6 @@ def _build(cls, args, stage: str, **fixed):
     return cls(**{key: value for key, value in values.items() if value is not None})
 
 
-def _write_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_jsonl(objs, path: Path) -> None:
-    """One sorted-key JSON object per line, written as `objs` yields them."""
-    with path.open("w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _write_csv(header: list[str], rows, path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
     """Shuffle and split by the configured split shape, scaled to n."""
     if not isinstance(shape, dict) or sorted(shape) != ["test", "train", "val"]:
@@ -108,6 +89,7 @@ def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
         check_value(f"splits.{key}", value, float, min=0, open=True)
     n = len(records)
     total = shape["train"] + shape["val"] + shape["test"]
+    check_value("the sum of splits", total, float)
     n_val = int(round(n * shape["val"] / total))
     n_test = int(round(n * shape["test"] / total))
     n_train = n - n_val - n_test
@@ -153,10 +135,10 @@ def cmd_train_kge(args) -> None:
     meta += [f"entities={graph.num_entities}", f"relations={graph.num_relations}",
              f"train_triples={len(train_kg.triples)}", f"heldout_triples={len(heldout)}"]
     (args.out / "kge_meta.txt").write_text("\n".join(meta) + "\n")
-    _write_csv(["epoch", "mean_loss"],
-               ([i, repr(loss)] for i, loss in enumerate(trace, start=1)),
-               args.out / "loss_trace.csv")
-    _write_json(
+    stores.write_csv(["epoch", "mean_loss"],
+                     ([i, repr(loss)] for i, loss in enumerate(trace, start=1)),
+                     args.out / "loss_trace.csv")
+    stores.write_json(
         {
             "mean_rank": result.mean_rank,
             "hits_at": {str(k): v for k, v in result.hits_at.items()},
@@ -175,29 +157,15 @@ def cmd_retrieve(args) -> None:
     if captions is not None and captions.names != queries.names:
         raise ValueError("caption store must carry the same row names as the query store")
 
-    index = retrieval.ConceptIndex(concept_store)
-
-    # Queries stream through in blocks whose score matrix fits the index's
-    # byte budget, so memory does not grow with the number of queries.
-    def rows():
-        step = index.block_rows
-        for start in range(0, queries.n, step):
-            stop = min(start + step, queries.n)
-            block = queries.vectors[start:stop]
-            try:
-                if captions is not None:
-                    block = retrieval.combine_text_caption(
-                        block, captions.vectors[start:stop]
-                    )
-                hits = retrieval.top_k(index, block, args.k)
-            except ValueError as exc:
-                raise ValueError(
-                    f"queries {start} to {stop - 1} (row 0 is {queries.names[start]!r}): {exc}"
-                ) from exc
-            for name, row in zip(queries.names[start:stop], hits):
-                yield {"id": name, "concepts": [{"name": c, "score": s} for c, s in row]}
-
-    _write_jsonl(rows(), args.out / "retrieved.jsonl")
+    vectors = queries.vectors
+    if captions is not None:
+        vectors = retrieval.combine_text_caption(vectors, captions.vectors)
+    hits = retrieval.top_k(retrieval.ConceptIndex(concept_store), vectors, args.k)
+    stores.write_jsonl(
+        ({"id": name, "concepts": [{"name": c, "score": s} for c, s in row]}
+         for name, row in zip(queries.names, hits)),
+        args.out / "retrieved.jsonl",
+    )
     print(f"retrieve: wrote top-{args.k} concepts for {queries.n} queries to {args.out}")
 
 
@@ -207,15 +175,11 @@ def cmd_train_fusion(args) -> None:
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
     train, val, test = _split_records(records, args.seed, args.splits)
 
-    # Dims follow the stores unless the config pins them.
-    for key, store in (("multimodal_dim", mm_store), ("knowledge_dim", concept_store)):
-        if getattr(args, key) is None:
-            setattr(args, key, store.dim)
-
     results = [
         fusion.train_classifier(train, concept_store, _build(
             fusion.FusionConfig, args, "fusion", learning_rate=lr,
-            use_knowledge=not args.no_knowledge), val_records=val)
+            use_knowledge=not args.no_knowledge, multimodal_dim=mm_store.dim,
+            knowledge_dim=concept_store.dim), val_records=val)
         for lr in (LR_SWEEP if args.lr_sweep else (args.learning_rate,))
     ]
     # train_classifier restores the epoch with the best validation accuracy,
@@ -235,9 +199,8 @@ def cmd_train_fusion(args) -> None:
         )
 
     columns = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
-    _write_csv(columns,
-               ([row["epoch"], *(repr(row[c]) for c in columns[1:])] for row in result.history),
-               args.out / "history.csv")
+    stores.write_csv(columns, ([row["epoch"], *(repr(row[c]) for c in columns[1:])]
+                               for row in result.history), args.out / "history.csv")
 
     # With --train-concepts the model was trained and early-stopped against
     # its tuned concept vectors, so it is evaluated against them too.
@@ -250,7 +213,7 @@ def cmd_train_fusion(args) -> None:
         entry = ev.to_dict()
         entry["accuracy"] = float(np.mean(labels == preds))
         summary[split_name] = entry
-    _write_json(summary, args.out / "metrics.json")
+    stores.write_json(summary, args.out / "metrics.json")
 
     t = summary["test"]
     print(
@@ -266,7 +229,7 @@ def cmd_predict(args) -> None:
     concept_store = stores.read_store(args.concept_store)
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
     labels, preds, p1 = fusion.evaluate_records(net, records, concept_store)
-    _write_jsonl(
+    stores.write_jsonl(
         ({"id": record.id, "label": int(pred), "p0": 1.0 - float(prob), "p1": float(prob)}
          for record, pred, prob in zip(records, preds, p1)),
         args.out / "predictions.jsonl",
@@ -301,7 +264,7 @@ def cmd_congruence(args) -> None:
         ids=list(text_store.names),
     )
     rep = cong.report(pairs)
-    _write_json(rep.to_dict(), args.out / "congruence.json")
+    stores.write_json(rep.to_dict(), args.out / "congruence.json")
     cong.write_pair_csv(rep, args.out / "pairs.csv")
     line = (
         f"congruence: centroid_distance={rep.centroid_distance:.6f} "
@@ -376,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p, setting = command("train-fusion", cmd_train_fusion, "train the fusion classifier",
                          "fusion", seeded=True,
-                         config_only=("multimodal_dim", "knowledge_dim", "warmup_fraction",
-                                      "early_stop_patience"))
+                         config_only=("warmup_fraction", "early_stop_patience"))
     p.add_argument("--records", required=True)
     p.add_argument("--mm-store", required=True)
     p.add_argument("--concept-store", required=True)

@@ -6,11 +6,12 @@ much shared knowledge context tightens the pairing.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .stores import write_csv
 
 HISTOGRAM_BINS = 20
 
@@ -194,14 +195,7 @@ def report(pairs: ModalityPairSet) -> CongruenceReport:
 def write_pair_csv(rep: CongruenceReport, path: str | Path) -> None:
     """Per-pair cosine CSV: pair_id, cos_without, cos_with (empty without
     knowledge)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_id", "cos_without", "cos_with"])
-        for i, pid in enumerate(rep.ids):
-            writer.writerow(
-                [
-                    pid,
-                    repr(float(rep.cosines[i])),
-                    "" if rep.cosines_with is None else repr(float(rep.cosines_with[i])),
-                ]
-            )
+    cos_with = ([""] * len(rep.ids) if rep.cosines_with is None
+                else map(repr, rep.cosines_with.tolist()))
+    write_csv(["pair_id", "cos_without", "cos_with"],
+              zip(rep.ids, map(repr, rep.cosines.tolist()), cos_with), path)

@@ -28,15 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    NonFiniteError,
-    StoreFormatError,
-    TrainingDivergedError,
-    TruncatedStoreError,
-    check_fields,
-)
-from .stores import CampaignRecord, EmbeddingStore
+from .errors import NonFiniteError, StoreFormatError, TrainingDivergedError, check_fields
+from .stores import BinaryReader, CampaignRecord, EmbeddingStore, write_json
 
 CHECKPOINT_MAGIC = b"FUSNET01"
 
@@ -332,12 +325,12 @@ class TrainResult:
 
 
 def _gather(records: list[CampaignRecord], concepts: np.ndarray, idx: np.ndarray):
-    """Stack one equal-n_k batch: inputs, concept rows, labels, id matrix."""
+    """Stack one equal-n_k batch: inputs, concept rows (in the dtype of
+    `concepts`; forward converts them), labels, id matrix."""
     x = np.stack([records[i].multimodal_vec for i in idx]).astype(np.float64)
     ids = np.array([records[i].concept_ids for i in idx], dtype=np.int64)
     labels = np.array([records[i].label for i in idx], dtype=np.int64)
-    kg = concepts[ids] if ids.size else np.zeros((len(idx), 0, concepts.shape[1]))
-    return x, kg, ids, labels
+    return x, concepts[ids], ids, labels
 
 
 def _batch_plan(
@@ -508,7 +501,7 @@ def evaluate_records(
         raise ValueError("no records to evaluate")
     _resolve_ids(records, concept_store.n)
     if concept_vectors is None:
-        concept_vectors = concept_store.vectors.astype(np.float64)
+        concept_vectors = concept_store.vectors
     return _eval_net(net, records, concept_vectors)
 
 
@@ -523,8 +516,7 @@ def save_checkpoint(net: FusionNet, path: str | Path) -> None:
     path = Path(path)
     header = struct.pack("<5I", *_header(net.cfg))
     path.write_bytes(CHECKPOINT_MAGIC + header + net.flat.astype("<f4").tobytes())
-    sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(json.dumps(asdict(net.cfg), sort_keys=True, indent=2) + "\n")
+    write_json(asdict(net.cfg), path.with_name(path.name + ".json"))
 
 
 def load_checkpoint(path: str | Path) -> FusionNet:
@@ -534,13 +526,8 @@ def load_checkpoint(path: str | Path) -> FusionNet:
     before any parameter memory is allocated.
     """
     path = Path(path)
-    buf = path.read_bytes()
-    if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: not a fusion checkpoint (bad magic)")
-    header_len = len(CHECKPOINT_MAGIC) + 20
-    if len(buf) < header_len:
-        raise TruncatedStoreError(f"{path}: header truncated")
-    header = struct.unpack("<5I", buf[len(CHECKPOINT_MAGIC) : header_len])
+    rd = BinaryReader(path, CHECKPOINT_MAGIC, "a fusion checkpoint")
+    header = rd.unpack("<5I")
 
     sidecar = path.with_name(path.name + ".json")
     if sidecar.exists():
@@ -558,12 +545,8 @@ def load_checkpoint(path: str | Path) -> FusionNet:
         except ValueError as exc:
             raise StoreFormatError(f"{path}: invalid header: {exc}") from exc
 
-    extra = len(buf) - header_len - 4 * _n_params(cfg)
-    if extra < 0:
-        raise TruncatedStoreError(f"{path}: payload {-extra} bytes short of the header's shape")
-    if extra > 0:
-        raise StoreFormatError(f"{path}: {extra} trailing bytes")
-    values = np.frombuffer(buf, dtype="<f4", offset=header_len)
+    values = rd.floats(_n_params(cfg))
+    rd.done()
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteError(f"{path}: non-finite value at parameter {bad[0]}")

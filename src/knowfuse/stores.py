@@ -1,4 +1,4 @@
-"""Embedding stores, campaign records, and synthetic data.
+"""Embedding stores, campaign records, synthetic data, and the artifact codecs.
 
 Binary store layout (little endian throughout):
 
@@ -12,9 +12,14 @@ Binary store layout (little endian throughout):
 Campaign records travel as JSON lines, one object per record with fields
 id, vec_name (a row name in a multimodal store), concept_names (row names
 in a concept store) and label. Each id appears on one line only.
+
+BinaryReader is the one checked reader of binary files, stores and fusion
+checkpoints alike; write_json, write_jsonl and write_csv are the one writer
+of each text artifact.
 """
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from dataclasses import dataclass, field
@@ -107,70 +112,94 @@ def write_store(store: EmbeddingStore, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-class _Reader:
-    """Bounds-checked cursor over a byte buffer."""
+def write_json(obj, path: str | Path) -> None:
+    """One sorted-key JSON document, indented by two spaces."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
-    def __init__(self, buf: bytes, what: str) -> None:
-        self.buf = buf
+
+def write_jsonl(objs, path: str | Path) -> None:
+    """One sorted-key JSON object per line, written as `objs` yields them."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def write_csv(header: list[str], rows, path: str | Path) -> None:
+    """`header`, then one CSV line per row of `rows`."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class BinaryReader:
+    """A file's bytes and a cursor, placed after the file's `magic`.
+
+    Every read checks its bounds first and raises TruncatedStoreError. A
+    file that does not start with `magic` raises BadMagicError, which says
+    it is not `what` (such as "an embedding store")."""
+
+    def __init__(self, path: str | Path, magic: bytes, what: str) -> None:
+        self.path = path
+        self.buf = memoryview(Path(path).read_bytes())
         self.pos = 0
-        self.what = what
+        start = self._skip(len(magic))
+        if self.buf[start : self.pos] != magic:
+            raise BadMagicError(f"{path}: not {what} (bad magic)")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+    def _skip(self, n: int) -> int:
+        """Move the cursor n bytes on; return where it was."""
+        start = self.pos
+        if start + n > len(self.buf):
             raise TruncatedStoreError(
-                f"{self.what}: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}"
+                f"{self.path}: needed {n} bytes at offset {start}, file has {len(self.buf)}"
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        """struct.unpack of `fmt`, which sets its own byte order, at the cursor."""
+        return struct.unpack_from(fmt, self.buf, self._skip(struct.calcsize(fmt)))
+
+    def strings(self, n: int) -> list[str]:
+        """n strings, each a u16 byte length and that many UTF-8 bytes."""
+        out = []
+        try:
+            for _ in range(n):
+                (size,) = self.unpack("<H")
+                start = self._skip(size)
+                out.append(str(self.buf[start : self.pos], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise StoreFormatError(f"{self.path}: undecodable name bytes") from exc
         return out
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"{self.what}: undecodable name bytes") from exc
+    def floats(self, count: int) -> np.ndarray:
+        """A read-only view of the next `count` little-endian float32s."""
+        return np.frombuffer(self.buf, dtype="<f4", count=count, offset=self._skip(4 * count))
 
     def done(self) -> None:
+        """Raise StoreFormatError if bytes remain after the cursor."""
         if self.pos != len(self.buf):
-            raise StoreFormatError(
-                f"{self.what}: {len(self.buf) - self.pos} trailing bytes"
-            )
+            raise StoreFormatError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
 
 
-def read_store(path: str | Path, expected_dim: int | None = None) -> EmbeddingStore:
+def read_store(path: str | Path) -> EmbeddingStore:
     """Read a store file, validating structure and contents.
 
     Raises BadMagicError, TruncatedStoreError, DuplicateNameError,
     NonFiniteError or DimMismatchError as appropriate; plain OSError
     surfaces for missing or unreadable paths.
     """
-    buf = Path(path).read_bytes()
-    rd = _Reader(buf, str(path))
-    if rd.take(len(STORE_MAGIC)) != STORE_MAGIC:
-        raise BadMagicError(f"{path}: not an embedding store (bad magic)")
-    dim = rd.u32()
-    n = rd.u64()
+    rd = BinaryReader(path, STORE_MAGIC, "an embedding store")
+    dim, n = rd.unpack("<IQ")
     if dim < 1:
         raise DimMismatchError(f"{path}: dim must be >= 1, got {dim}")
-    if expected_dim is not None and dim != expected_dim:
-        raise DimMismatchError(f"{path}: dim {dim}, expected {expected_dim}")
-    kind_tag = rd.string()
-    names = [rd.string() for _ in range(n)]
-    payload = rd.take(n * dim * 4)
+    (kind_tag,) = rd.strings(1)
+    names = rd.strings(n)
+    vectors = rd.floats(n * dim)
     rd.done()
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(n, dim).copy()
-    return EmbeddingStore(dim=dim, names=names, vectors=vectors, kind_tag=kind_tag)
+    return EmbeddingStore(dim=dim, names=names, vectors=vectors.reshape(n, dim).copy(),
+                          kind_tag=kind_tag)
 
 
 @dataclass
@@ -210,15 +239,11 @@ def write_records_jsonl(
     records: list[CampaignRecord], concept_store: EmbeddingStore, path: str | Path
 ) -> None:
     """One JSON object per line: {id, vec_name, concept_names, label}."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {
-                "id": r.id,
-                "vec_name": r.id,
-                "concept_names": [concept_store.names[i] for i in r.concept_ids],
-                "label": r.label,
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    write_jsonl(
+        ({"id": r.id, "vec_name": r.id, "label": r.label,
+          "concept_names": [concept_store.names[i] for i in r.concept_ids]} for r in records),
+        path,
+    )
 
 
 def _records_style_rows(path: str | Path, *extra: str):

@@ -267,7 +267,29 @@ class TestRetrieve:
             "--queries", str(path), "--out", str(tmp_path / "out"),
         ]
         assert main(argv) == 1
-        assert "queries 2 to 3 (row 0 is 'q2'): query row 0 has zero norm" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: query row 2 has zero norm\n"
+
+    def test_bad_k_leaves_no_output(self, retrieval_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"k": 2.5}}))
+        out = tmp_path / "out"
+        argv = [
+            "retrieve", "--concepts", str(retrieval_files["concepts"]),
+            "--queries", str(retrieval_files["queries"]),
+            "--config", str(config), "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: k must be an integer, got 2.5\n"
+        assert not (out / "retrieved.jsonl").exists()
+
+    def test_empty_queries_still_check_k(self, retrieval_files, tmp_path, capsys):
+        path = tmp_path / "empty.emb"
+        write_store(EmbeddingStore(dim=6, names=[], vectors=np.zeros((0, 6))), path)
+        base = ["retrieve", "--concepts", str(retrieval_files["concepts"]), "--queries", str(path)]
+        assert main(base + ["--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "retrieved.jsonl").read_bytes() == b""
+        assert main(base + ["--k", "0", "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
     def test_missing_store_exits_two(self, retrieval_files, tmp_path):
         argv = [

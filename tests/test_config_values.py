@@ -77,6 +77,12 @@ def _run(command: str, config: dict, d: Path) -> tuple[int, str]:
     ("train-fusion", {"splits": {"train": 0.6, "val": 0.2, "test": 0.2, "dev": 0.1}}, "splits"),
     ("train-fusion", {"fusion": {"warmup_fraction": None}}, "fusion.warmup_fraction"),
     ("train-kge", {"kge": {"heldout": None}}, "kge.heldout"),
+    ("train-fusion", {"splits": {"train": 1e308, "val": 1e308, "test": 1e308}},
+     "the sum of splits must be a finite number, got inf"),
+    # The stores fix both dims, so a config cannot set them.
+    ("train-fusion", {"fusion": {"knowledge_dim": 7}}, "unknown fusion settings ['knowledge_dim']"),
+    ("train-fusion", {"fusion": {"multimodal_dim": 6}},
+     "unknown fusion settings ['multimodal_dim']"),
 ])
 def test_bad_value_is_one_error_line_naming_the_key(command, config, key, inputs):
     section = _SECTIONS[command][0]

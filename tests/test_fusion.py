@@ -522,6 +522,12 @@ class TestCheckpoint:
         with pytest.raises(TruncatedStoreError):
             load_checkpoint(path)
 
+    def test_shorter_than_magic_is_truncated(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"FUSNET")
+        with pytest.raises(TruncatedStoreError):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(FusionNet(_small_fusion_cfg()), path)

@@ -81,13 +81,6 @@ class TestStoreRoundTrip:
         want += 3 * 4 * 4
         assert path.stat().st_size == want
 
-    def test_expected_dim_enforced(self, tmp_path):
-        path = tmp_path / "s.emb"
-        write_store(_store(dim=7), path)
-        assert read_store(path, expected_dim=7).dim == 7
-        with pytest.raises(DimMismatchError):
-            read_store(path, expected_dim=8)
-
 
 class TestStoreErrors:
     def test_bad_magic(self, tmp_path):
