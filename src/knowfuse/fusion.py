@@ -12,11 +12,14 @@ logits. Training minimises cross-entropy with adaptive-moment updates whose
 learning rate ramps linearly from zero over the first warmup fraction of
 planned steps and then decays linearly back to zero.
 
-forward and backward run on a batch of records that share n_k; training,
-evaluation and single-record predict all go through them. They are explicit
-numpy in float64; backward is hand derived and is checked against central
-finite differences in the test suite. The ablation flag use_knowledge=False skips attention entirely and
-classifies the projected multimodal vector alone.
+forward runs a batch of records that share n_k as project_concepts
+(knowledge rows to keys and values) and then attend; training steps, with
+backward, and single-record predict call it. Evaluation projects each distinct
+concept of a 512-record batch once and attends over the rows indexed back per
+record. All are explicit numpy matrix products in float64; backward is hand
+derived and is checked against central finite differences in the test suite.
+The ablation flag use_knowledge=False skips attention entirely and classifies
+the projected multimodal vector alone.
 """
 from __future__ import annotations
 
@@ -145,21 +148,22 @@ class ForwardTrace:
     """Everything backward() needs, cached from one forward pass over a batch."""
 
     x: np.ndarray  # [B, multimodal_dim]
-    kg: np.ndarray | None  # [B, n_k, knowledge_dim]
     q0: np.ndarray
     cls_in: np.ndarray
     logits: np.ndarray
-    kv0: np.ndarray | None = None
+    kg: np.ndarray | None = None  # [B, n_k, knowledge_dim]
+    kv0: np.ndarray | None = None  # [B * n_k, d]
     q: np.ndarray | None = None  # [B, H, dh]
-    k: np.ndarray | None = None  # [B, H, n_k, dh]
-    v: np.ndarray | None = None  # [B, H, n_k, dh]
+    k: np.ndarray | None = None  # [B, n_k, H, dh]
+    v: np.ndarray | None = None  # [B, n_k, H, dh]
     attn: np.ndarray | None = None  # [B, H, n_k], rows sum to 1
     concat: np.ndarray | None = None
 
 
-def _einsum(subscripts: str, *operands) -> np.ndarray:
-    """einsum with contraction-path optimisation (BLAS-backed where possible)."""
-    return np.einsum(subscripts, *operands, optimize=True)
+def _columns(w: np.ndarray) -> np.ndarray:
+    """Per-head weights [h, d, dh] as one [d, h * dh] matrix, heads side by side."""
+    h, d, dh = w.shape
+    return w.transpose(1, 0, 2).reshape(d, h * dh)
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -175,51 +179,75 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return lse - shifted[np.arange(len(labels)), labels]
 
 
+def _multimodal_batch(cfg: FusionConfig, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.multimodal_dim:
+        raise ValueError(f"multimodal batch must be [B, {cfg.multimodal_dim}], got {x.shape}")
+    return x
+
+
+def project_concepts(net: FusionNet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Knowledge rows [n, knowledge_dim] projected to d_model (kv0 [n, d],
+    which backward needs), and their keys and values [n, H, dh]."""
+    cfg = net.cfg
+    kv0 = np.asarray(rows, dtype=np.float64) @ net.proj_kg_w + net.proj_kg_b
+    heads = (len(kv0), cfg.num_heads, cfg.head_dim)
+    k = (kv0 @ _columns(net.attn_k)).reshape(heads)
+    v = (kv0 @ _columns(net.attn_v)).reshape(heads)
+    return kv0, k, v
+
+
+def attend(
+    net: FusionNet, x: np.ndarray, k: np.ndarray | None, v: np.ndarray | None
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Logits [B, 2] and the trace, without kg and kv0, for multimodal rows
+    x [B, multimodal_dim] attending over keys and values k, v
+    [B, n_k, H, dh]. The ablation net ignores k and v (they may be None)."""
+    cfg = net.cfg
+    x = _multimodal_batch(cfg, x)
+    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
+    if not cfg.use_knowledge:
+        logits = q0 @ net.cls_w + net.cls_b
+        return logits, ForwardTrace(x=x, q0=q0, cls_in=q0, logits=logits)
+
+    batch = x.shape[0]
+    q = (q0 @ _columns(net.attn_q)).reshape(batch, cfg.num_heads, cfg.head_dim)
+    scores = (k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(cfg.head_dim)
+    attn = _softmax(scores, axis=-1)  # [B, H, n_k]
+    head_out = attn[:, :, None, :] @ v.transpose(0, 2, 1, 3)  # [B, H, 1, dh]
+    concat = head_out.reshape(batch, cfg.d_model)
+    cls_in = concat @ net.attn_out + q0
+    logits = cls_in @ net.cls_w + net.cls_b
+    return logits, ForwardTrace(x=x, q0=q0, cls_in=cls_in, logits=logits,
+                                q=q, k=k, v=v, attn=attn, concat=concat)
+
+
 def forward(
     net: FusionNet, x: np.ndarray, kg: np.ndarray | None
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits [B, 2] for a batch plus the cached trace.
+    """Logits [B, 2] for a batch plus the cached trace: project_concepts
+    over every knowledge row, then attend.
 
     x is [B, multimodal_dim]. kg is [B, n_k, knowledge_dim] with n_k >= 1
     when the net uses knowledge; it is ignored (and may be None) for the
     ablation net.
     """
     cfg = net.cfg
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.multimodal_dim:
-        raise ValueError(
-            f"multimodal batch must be [B, {cfg.multimodal_dim}], got {x.shape}"
-        )
-    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
+    x = _multimodal_batch(cfg, x)  # before the kg check, which reads its batch size
     if not cfg.use_knowledge:
-        logits = q0 @ net.cls_w + net.cls_b
-        return logits, ForwardTrace(x=x, kg=None, q0=q0, cls_in=q0, logits=logits)
+        return attend(net, x, None, None)
 
     kg = np.asarray(kg, dtype=np.float64)
-    if (
-        kg.ndim != 3
-        or kg.shape[0] != x.shape[0]
-        or kg.shape[1] < 1
-        or kg.shape[2] != cfg.knowledge_dim
-    ):
-        raise ValueError(
-            f"knowledge batch must be [{x.shape[0]}, n_k >= 1, "
-            f"{cfg.knowledge_dim}], got {kg.shape}"
-        )
-    kv0 = kg @ net.proj_kg_w + net.proj_kg_b  # [B, n_k, d]
-    q = _einsum("bd,hde->bhe", q0, net.attn_q)
-    k = _einsum("bnd,hde->bhne", kv0, net.attn_k)
-    v = _einsum("bnd,hde->bhne", kv0, net.attn_v)
-    scores = _einsum("bhe,bhne->bhn", q, k) / np.sqrt(cfg.head_dim)
-    attn = _softmax(scores, axis=-1)
-    head_out = _einsum("bhn,bhne->bhe", attn, v)
-    concat = head_out.reshape(x.shape[0], cfg.d_model)
-    cls_in = concat @ net.attn_out + q0
-    logits = cls_in @ net.cls_w + net.cls_b
-    return logits, ForwardTrace(
-        x=x, kg=kg, q0=q0, cls_in=cls_in, logits=logits,
-        kv0=kv0, q=q, k=k, v=v, attn=attn, concat=concat,
-    )
+    batch = x.shape[0]
+    if kg.ndim != 3 or kg.shape[0] != batch or kg.shape[1] < 1 or kg.shape[2] != cfg.knowledge_dim:
+        raise ValueError(f"knowledge batch must be [{batch}, n_k >= 1, {cfg.knowledge_dim}], "
+                         f"got {kg.shape}")
+    n_k = kg.shape[1]
+    kv0, k, v = project_concepts(net, kg.reshape(batch * n_k, cfg.knowledge_dim))
+    heads = (batch, n_k, cfg.num_heads, cfg.head_dim)
+    logits, trace = attend(net, x, k.reshape(heads), v.reshape(heads))
+    trace.kg, trace.kv0 = kg, kv0
+    return logits, trace
 
 
 def backward(
@@ -237,8 +265,7 @@ def backward(
     batch = trace.x.shape[0]
     g = _views(np.zeros_like(net.flat) if out is None else out, cfg)
 
-    p = _softmax(trace.logits, axis=-1)
-    dz = p.copy()
+    dz = _softmax(trace.logits, axis=-1)
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
 
@@ -250,30 +277,32 @@ def backward(
         d_q0 = d_cls_in
         d_kg = np.zeros((batch, 0, cfg.knowledge_dim))
     else:
-        d_fused = d_cls_in
+        rows = trace.kv0.shape[0]  # B * n_k
         d_q0 = d_cls_in.copy()
-        g["attn_out"][...] = trace.concat.T @ d_fused
-        d_concat = d_fused @ net.attn_out.T
-        d_head = d_concat.reshape(batch, cfg.num_heads, cfg.head_dim)
+        g["attn_out"][...] = trace.concat.T @ d_cls_in
+        d_head = (d_cls_in @ net.attn_out.T).reshape(batch, cfg.num_heads, cfg.head_dim)
 
         # Softmax backward: d_scores = A * (dA - sum(A * dA)) per row.
-        d_v = _einsum("bhn,bhe->bhne", trace.attn, d_head)
-        d_attn = _einsum("bhe,bhne->bhn", d_head, trace.v)
+        d_attn = (trace.v.transpose(0, 2, 1, 3) @ d_head[..., None])[..., 0]
         inner = np.sum(trace.attn * d_attn, axis=-1, keepdims=True)
         d_scores = trace.attn * (d_attn - inner) / np.sqrt(cfg.head_dim)
-        d_q = _einsum("bhn,bhne->bhe", d_scores, trace.k)
-        d_k = _einsum("bhn,bhe->bhne", d_scores, trace.q)
+        d_q = (d_scores[:, :, None, :] @ trace.k.transpose(0, 2, 1, 3)).reshape(batch, -1)
+        # d k and d v in the [B, n_k, H, dh] layout of k and v.
+        d_k = (d_scores.transpose(0, 2, 1)[..., None] * trace.q[:, None]).reshape(rows, -1)
+        d_v = (trace.attn.transpose(0, 2, 1)[..., None] * d_head[:, None]).reshape(rows, -1)
 
-        g["attn_q"][...] = _einsum("bd,bhe->hde", trace.q0, d_q)
-        d_q0 += _einsum("hde,bhe->bd", net.attn_q, d_q)
-        g["attn_k"][...] = _einsum("bnd,bhne->hde", trace.kv0, d_k)
-        d_kv0 = _einsum("hde,bhne->bnd", net.attn_k, d_k)
-        g["attn_v"][...] = _einsum("bnd,bhne->hde", trace.kv0, d_v)
-        d_kv0 += _einsum("hde,bhne->bnd", net.attn_v, d_v)
+        # A [d, H * dh] product fills an [H, d, dh] gradient through a transposed view.
+        heads = (-1, cfg.num_heads, cfg.head_dim)
+        g["attn_q"].transpose(1, 0, 2)[...] = (trace.q0.T @ d_q).reshape(heads)
+        d_q0 += d_q @ _columns(net.attn_q).T
+        g["attn_k"].transpose(1, 0, 2)[...] = (trace.kv0.T @ d_k).reshape(heads)
+        d_kv0 = d_k @ _columns(net.attn_k).T
+        g["attn_v"].transpose(1, 0, 2)[...] = (trace.kv0.T @ d_v).reshape(heads)
+        d_kv0 += d_v @ _columns(net.attn_v).T
 
-        g["proj_kg_w"][...] = _einsum("bnd,bne->de", trace.kg, d_kv0)
-        g["proj_kg_b"][...] = d_kv0.sum(axis=(0, 1))
-        d_kg = _einsum("bne,de->bnd", d_kv0, net.proj_kg_w)
+        g["proj_kg_w"][...] = trace.kg.reshape(rows, -1).T @ d_kv0
+        g["proj_kg_b"][...] = d_kv0.sum(axis=0)
+        d_kg = (d_kv0 @ net.proj_kg_w.T).reshape(trace.kg.shape)
 
     g["proj_mm_w"][...] = trace.x.T @ d_q0
     g["proj_mm_b"][...] = d_q0.sum(axis=0)
@@ -324,13 +353,12 @@ class TrainResult:
     concept_vectors: np.ndarray | None = None
 
 
-def _gather(records: list[CampaignRecord], concepts: np.ndarray, idx: np.ndarray):
-    """Stack one equal-n_k batch: inputs, concept rows (in the dtype of
-    `concepts`; forward converts them), labels, id matrix."""
+def _gather(records: list[CampaignRecord], idx: np.ndarray):
+    """Stack one equal-n_k batch: inputs, concept id matrix, labels."""
     x = np.stack([records[i].multimodal_vec for i in idx]).astype(np.float64)
     ids = np.array([records[i].concept_ids for i in idx], dtype=np.int64)
     labels = np.array([records[i].label for i in idx], dtype=np.int64)
-    return x, concepts[ids], ids, labels
+    return x, ids, labels
 
 
 def _batch_plan(
@@ -351,14 +379,21 @@ def _batch_plan(
 def _eval_net(
     net: FusionNet, records: list[CampaignRecord], concepts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, predicted labels, positive-class probabilities), batched."""
+    """(labels, predicted labels, positive-class probabilities), batched.
+    Each batch projects its distinct concepts once, then indexes them per record."""
     ks = np.array([len(r.concept_ids) for r in records])
     labels = np.array([r.label for r in records], dtype=np.int64)
     preds = np.empty(len(records), dtype=np.int64)
     p1 = np.empty(len(records), dtype=np.float64)
     for idx in _batch_plan(ks, np.arange(len(records)), 512):
-        x, kg, _, _ = _gather(records, concepts, idx)
-        logits, _ = forward(net, x, kg)
+        x, ids, _ = _gather(records, idx)
+        if net.cfg.use_knowledge:
+            distinct, where = np.unique(ids, return_inverse=True)
+            _, k, v = project_concepts(net, concepts[distinct])
+            where = where.reshape(ids.shape)
+            logits, _ = attend(net, x, k[where], v[where])
+        else:
+            logits, _ = attend(net, x, None, None)
         probs = _softmax(logits, axis=-1)
         # Equal logits resolve to label 0.
         preds[idx] = (probs[:, 1] > probs[:, 0]).astype(np.int64)
@@ -366,8 +401,10 @@ def _eval_net(
     return labels, preds, p1
 
 
-def _resolve_ids(records: list[CampaignRecord], n_concepts: int) -> None:
+def _resolve_ids(records: list[CampaignRecord], n_concepts: int, cfg: FusionConfig) -> None:
     for r in records:
+        if cfg.use_knowledge and not r.concept_ids:
+            raise ValueError(f"record {r.id}: no concepts, but the net attends over knowledge")
         for c in r.concept_ids:
             if not 0 <= c < n_concepts:
                 raise ValueError(
@@ -406,9 +443,10 @@ def train_classifier(
     if labels_present != {0, 1}:
         raise ValueError("training records must include both labels")
 
-    concepts = concept_store.vectors.astype(np.float64)
-    _resolve_ids(records, concept_store.n)
-    _resolve_ids(val_records, concept_store.n)
+    # Trained concepts need a float64 copy; forward converts gathered rows exactly.
+    concepts = concept_store.vectors.astype(np.float64) if cfg.train_concepts else concept_store.vectors
+    _resolve_ids(records, concept_store.n, cfg)
+    _resolve_ids(val_records, concept_store.n, cfg)
 
     ks = np.array([len(r.concept_ids) for r in records])
     n_batches = len(_batch_plan(ks, np.arange(len(records)), cfg.batch_size))
@@ -432,8 +470,8 @@ def train_classifier(
         for batch, idx in enumerate(_batch_plan(ks, order, cfg.batch_size), start=1):
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
-            x, kg, ids, batch_labels = _gather(records, concepts, idx)
-            logits, trace = forward(net, x, kg)
+            x, ids, batch_labels = _gather(records, idx)
+            logits, trace = forward(net, x, concepts[ids])
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(
@@ -478,7 +516,7 @@ def predict(
     net: FusionNet, record: CampaignRecord, concept_store: EmbeddingStore
 ) -> tuple[int, tuple[float, float]]:
     """Label and class probabilities for one record; ties go to label 0."""
-    _resolve_ids([record], concept_store.n)
+    _resolve_ids([record], concept_store.n, net.cfg)
     kg = concept_store.vectors[record.concept_ids]
     logits, _ = forward(net, record.multimodal_vec[None], kg[None])
     probs = _softmax(logits[0])
@@ -499,7 +537,7 @@ def evaluate_records(
     """
     if not records:
         raise ValueError("no records to evaluate")
-    _resolve_ids(records, concept_store.n)
+    _resolve_ids(records, concept_store.n, net.cfg)
     if concept_vectors is None:
         concept_vectors = concept_store.vectors
     return _eval_net(net, records, concept_vectors)

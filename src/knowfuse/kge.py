@@ -248,7 +248,7 @@ def _query_scores(model: KgeModel, ids, side: str, table, sq_norms) -> np.ndarra
     # ||x - e||^2 = ||x||^2 + ||e||^2 - 2 x.e, clamped at 0 against rounding
     out = x @ table.T
     out *= -2.0
-    out += np.einsum("ij,ij->i", x, x)[:, None]
+    out += (x * x).sum(axis=1)[:, None]
     out += sq_norms
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
@@ -309,7 +309,7 @@ def link_predict_eval(
         # a tie: the products score the distinct rows, spread over entities.
         table, spread = np.unique(table, axis=0, return_inverse=True)
         spread = spread.reshape(-1)
-    sq_norms = np.einsum("ij,ij->i", table, table)
+    sq_norms = (table * table).sum(axis=1)
     # The kernel path holds [rows * n_entities, dim] temporaries.
     rows = max(1, SCORE_BLOCK_BYTES // (8 * len(model.entity_emb) * (1 if product else model.dim)))
     ranks = np.empty((len(held), 2))

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from knowfuse.fusion import FusionNet, _einsum, _softmax
+from knowfuse.fusion import FusionNet, _softmax
+
+
+def _einsum(subscripts: str, *operands) -> np.ndarray:
+    """einsum with contraction-path optimisation (BLAS-backed where possible)."""
+    return np.einsum(subscripts, *operands, optimize=True)
 
 
 @dataclass

@@ -378,6 +378,35 @@ class TestTrainFusionAndPredict:
         assert "line 6: duplicate id 'rec_04' (first on line 5)" in capsys.readouterr().err
         assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
+    def test_record_without_concepts_names_the_record(self, data, tmp_path, capsys):
+        model, ablation = tmp_path / "model", tmp_path / "ablation"
+        assert main(_fusion_args(data, model)) == 0
+        assert main(_fusion_args(data, ablation, "--no-knowledge")) == 0
+        records = data / "records.jsonl"
+        lines = records.read_text().splitlines(keepends=True)
+        row = json.loads(lines[5])
+        lines[5] = json.dumps({**row, "concept_names": []}) + "\n"
+        records.write_text("".join(lines))
+        want = f"error: record {row['id']}: no concepts, but the net attends over knowledge\n"
+
+        def predict(checkpoint, out):
+            return main([
+                "predict", "--checkpoint", str(checkpoint / "fusion.ckpt"),
+                "--records", str(records), "--mm-store", str(data / "multimodal.emb"),
+                "--concept-store", str(data / "concepts.emb"), "--out", str(out),
+            ])
+
+        capsys.readouterr()
+        assert main(_fusion_args(data, tmp_path / "retrained")) == 1
+        assert capsys.readouterr().err == want
+        assert predict(model, tmp_path / "pred") == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+        # The ablation net attends over nothing and scores the record.
+        assert main(_fusion_args(data, tmp_path / "ablation2", "--no-knowledge")) == 0
+        assert predict(ablation, tmp_path / "ablation_pred") == 0
+        assert len(_read_jsonl(tmp_path / "ablation_pred" / "predictions.jsonl")) == 60
+
     def test_no_knowledge_flag(self, data, tmp_path):
         out = tmp_path / "model"
         assert main(_fusion_args(data, out, "--no-knowledge")) == 0

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from knowfuse import fusion
@@ -30,7 +32,7 @@ from knowfuse.fusion import (
     train_classifier,
     warmup_lr,
 )
-from knowfuse.stores import SynthConfig, synth_dataset
+from knowfuse.stores import CampaignRecord, EmbeddingStore, SynthConfig, synth_dataset
 
 import fusion_reference as ref
 
@@ -463,6 +465,80 @@ class TestPredict:
                 label, (_, got_p1) = predict(net, r, store)
                 assert label == want_label
                 assert abs(got_p1 - want_p1) <= 1e-12
+
+
+def _shared_concept_records(rng, cfg, n_concepts, ks):
+    """Records with the given n_k over a small concept store, so ids repeat
+    across records; the first record repeats one id n_k times."""
+    store = EmbeddingStore(dim=cfg.knowledge_dim, names=[f"c{i}" for i in range(n_concepts)],
+                           vectors=rng.normal(size=(n_concepts, cfg.knowledge_dim)).astype(np.float32))
+    records = [
+        CampaignRecord(id=f"r{i}", multimodal_vec=rng.normal(size=cfg.multimodal_dim),
+                       concept_ids=[0] * k if i == 0 else rng.integers(0, n_concepts, k).tolist(),
+                       label=int(rng.integers(0, 2)))
+        for i, k in enumerate(ks)
+    ]
+    return records, store
+
+
+class TestEvaluationPath:
+    """evaluate_records projects each distinct concept of a 512-record batch
+    once; it must score every record as the per-record oracle does."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_concepts=st.integers(1, 6),
+           shared_k=st.integers(1, 6), extra=st.lists(st.integers(1, 6), max_size=40),
+           use_knowledge=st.booleans())
+    def test_matches_reference_record_by_record(self, seed, n_concepts, shared_k, extra,
+                                                use_knowledge):
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
+                           use_knowledge=use_knowledge, seed=seed % 1000)
+        # 513 records share one n_k, so that group spans two batches.
+        records, store = _shared_concept_records(rng, cfg, n_concepts, [shared_k] * 513 + extra)
+        rng.shuffle(records)
+        net = FusionNet(cfg)
+        labels, preds, p1 = evaluate_records(net, records, store)
+        assert labels.tolist() == [r.label for r in records]
+        for r, pred, got in zip(records, preds, p1):
+            logits, _ = ref.forward(net, r.multimodal_vec, store.vectors[r.concept_ids])
+            want = fusion._softmax(logits)
+            assert abs(got - want[1]) <= 1e-12, r.id
+            assert pred == int(want[1] > want[0]), r.id
+
+    @pytest.mark.parametrize("use_knowledge", [True, False])
+    def test_projects_each_distinct_concept_once_per_batch(self, monkeypatch, use_knowledge):
+        rng = np.random.default_rng(21)
+        cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
+                           use_knowledge=use_knowledge, seed=22)
+        # Batches: the ten n_k = 2 records, then 512 and 88 n_k = 3 records.
+        records, store = _shared_concept_records(rng, cfg, 7, [3] * 600 + [2] * 10)
+        projected = []
+        original = fusion.project_concepts
+        monkeypatch.setattr(fusion, "project_concepts",
+                            lambda net, rows: projected.append(rows) or original(net, rows))
+        evaluate_records(FusionNet(cfg), records, store)
+        if not use_knowledge:
+            assert projected == []
+            return
+        assert len(projected) == 3
+        for rows in projected:
+            assert len(np.unique(rows, axis=0)) == len(rows) <= store.n
+        assert len(projected[1]) == store.n  # 512 records over 7 concepts use them all
+
+    def test_record_without_concepts_is_named(self):
+        records, store = _small_dataset(n=20)
+        records[3].concept_ids = []
+        net = FusionNet(_small_fusion_cfg(seed=4))
+        msg = f"record {records[3].id}: no concepts, but the net attends over knowledge"
+        for call in (lambda: evaluate_records(net, records, store),
+                     lambda: predict(net, records[3], store),
+                     lambda: train_classifier(records, store, _small_fusion_cfg())):
+            with pytest.raises(ValueError, match=msg):
+                call()
+        ablation = FusionNet(_small_fusion_cfg(seed=4, use_knowledge=False))
+        _, _, p1 = evaluate_records(ablation, records, store)
+        assert abs(predict(ablation, records[3], store)[1][1] - p1[3]) <= 1e-12
 
 
 class TestCheckpoint:
