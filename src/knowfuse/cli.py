@@ -157,15 +157,27 @@ def cmd_retrieve(args) -> None:
     if captions is not None and captions.names != queries.names:
         raise ValueError("caption store must carry the same row names as the query store")
 
-    vectors = queries.vectors
-    if captions is not None:
-        vectors = retrieval.combine_text_caption(vectors, captions.vectors)
-    hits = retrieval.top_k(retrieval.ConceptIndex(concept_store), vectors, args.k)
-    stores.write_jsonl(
-        ({"id": name, "concepts": [{"name": c, "score": s} for c, s in row]}
-         for name, row in zip(queries.names, hits)),
-        args.out / "retrieved.jsonl",
-    )
+    index = retrieval.ConceptIndex(concept_store)
+    retrieval.top_k(index, queries.vectors[:0], args.k)  # checks k and dim before any output
+
+    def blocks():
+        # One block of queries at a time, so memory does not grow with their count.
+        step = index.block_rows
+        for start in range(0, queries.n, step):
+            rows = slice(start, start + step)
+            block = queries.vectors[rows]
+            if captions is not None:
+                block = retrieval.combine_text_caption(block, captions.vectors[rows], first=start)
+            for name, hits in zip(queries.names[rows], retrieval.top_k(index, block, args.k,
+                                                                       first=start)):
+                yield {"id": name, "concepts": [{"name": c, "score": s} for c, s in hits]}
+
+    out = args.out / "retrieved.jsonl"
+    try:
+        stores.write_jsonl(blocks(), out)
+    except ValueError:
+        out.unlink()  # a bad query row leaves no partial output
+        raise
     print(f"retrieve: wrote top-{args.k} concepts for {queries.n} queries to {args.out}")
 
 

@@ -12,11 +12,17 @@ logits. Training minimises cross-entropy with adaptive-moment updates whose
 learning rate ramps linearly from zero over the first warmup fraction of
 planned steps and then decays linearly back to zero.
 
-forward runs a batch of records that share n_k as project_concepts
-(knowledge rows to keys and values) and then attend; training steps, with
-backward, and single-record predict call it. Evaluation projects each distinct
-concept of a 512-record batch once and attends over the rows indexed back per
-record. All are explicit numpy matrix products in float64; backward is hand
+forward runs a batch of records that share n_k: project_concepts turns the
+knowledge rows into keys and values, then the projected multimodal rows
+attend over them. Training steps, with backward, and single-record predict
+call it. Evaluation (evaluate_records) never projects a concept. Since
+K = (C W^KG + b^KG) W_i^K, the key map folds into the query,
+r_i = W^KG W_i^K (q W_i^Q)^T, and scores are C r_i: the bias term is the same
+for every concept of a record, so the softmax cancels it. Since the
+attention weights a sum to 1, a (C W^KG + b^KG) W_i^V = (a C) W^KG W_i^V
++ b^KG W_i^V. So evaluation folds the two maps once per call and each batch
+attends over its raw concept rows, with the same result as forward up to
+rounding. All are explicit numpy matrix products in float64; backward is hand
 derived and is checked against central finite differences in the test suite.
 The ablation flag use_knowledge=False skips attention entirely and classifies
 the projected multimodal vector alone.
@@ -188,7 +194,8 @@ def _multimodal_batch(cfg: FusionConfig, x: np.ndarray) -> np.ndarray:
 
 def project_concepts(net: FusionNet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Knowledge rows [n, knowledge_dim] projected to d_model (kv0 [n, d],
-    which backward needs), and their keys and values [n, H, dh]."""
+    which backward needs), and their keys and values [n, H, dh]. Only
+    forward calls it; evaluation folds the projection into its maps."""
     cfg = net.cfg
     kv0 = np.asarray(rows, dtype=np.float64) @ net.proj_kg_w + net.proj_kg_b
     heads = (len(kv0), cfg.num_heads, cfg.head_dim)
@@ -197,36 +204,12 @@ def project_concepts(net: FusionNet, rows: np.ndarray) -> tuple[np.ndarray, ...]
     return kv0, k, v
 
 
-def attend(
-    net: FusionNet, x: np.ndarray, k: np.ndarray | None, v: np.ndarray | None
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits [B, 2] and the trace, without kg and kv0, for multimodal rows
-    x [B, multimodal_dim] attending over keys and values k, v
-    [B, n_k, H, dh]. The ablation net ignores k and v (they may be None)."""
-    cfg = net.cfg
-    x = _multimodal_batch(cfg, x)
-    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
-    if not cfg.use_knowledge:
-        logits = q0 @ net.cls_w + net.cls_b
-        return logits, ForwardTrace(x=x, q0=q0, cls_in=q0, logits=logits)
-
-    batch = x.shape[0]
-    q = (q0 @ _columns(net.attn_q)).reshape(batch, cfg.num_heads, cfg.head_dim)
-    scores = (k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(cfg.head_dim)
-    attn = _softmax(scores, axis=-1)  # [B, H, n_k]
-    head_out = attn[:, :, None, :] @ v.transpose(0, 2, 1, 3)  # [B, H, 1, dh]
-    concat = head_out.reshape(batch, cfg.d_model)
-    cls_in = concat @ net.attn_out + q0
-    logits = cls_in @ net.cls_w + net.cls_b
-    return logits, ForwardTrace(x=x, q0=q0, cls_in=cls_in, logits=logits,
-                                q=q, k=k, v=v, attn=attn, concat=concat)
-
-
 def forward(
     net: FusionNet, x: np.ndarray, kg: np.ndarray | None
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Logits [B, 2] for a batch plus the cached trace: project_concepts
-    over every knowledge row, then attend.
+    over every knowledge row, then the projected multimodal rows attend
+    over the keys and values.
 
     x is [B, multimodal_dim]. kg is [B, n_k, knowledge_dim] with n_k >= 1
     when the net uses knowledge; it is ignored (and may be None) for the
@@ -234,8 +217,10 @@ def forward(
     """
     cfg = net.cfg
     x = _multimodal_batch(cfg, x)  # before the kg check, which reads its batch size
+    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
     if not cfg.use_knowledge:
-        return attend(net, x, None, None)
+        logits = q0 @ net.cls_w + net.cls_b
+        return logits, ForwardTrace(x=x, q0=q0, cls_in=q0, logits=logits)
 
     kg = np.asarray(kg, dtype=np.float64)
     batch = x.shape[0]
@@ -244,10 +229,17 @@ def forward(
                          f"got {kg.shape}")
     n_k = kg.shape[1]
     kv0, k, v = project_concepts(net, kg.reshape(batch * n_k, cfg.knowledge_dim))
-    heads = (batch, n_k, cfg.num_heads, cfg.head_dim)
-    logits, trace = attend(net, x, k.reshape(heads), v.reshape(heads))
-    trace.kg, trace.kv0 = kg, kv0
-    return logits, trace
+    k = k.reshape(batch, n_k, cfg.num_heads, cfg.head_dim)
+    v = v.reshape(k.shape)
+    q = (q0 @ _columns(net.attn_q)).reshape(batch, cfg.num_heads, cfg.head_dim)
+    scores = (k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(cfg.head_dim)
+    attn = _softmax(scores, axis=-1)  # [B, H, n_k]
+    head_out = attn[:, :, None, :] @ v.transpose(0, 2, 1, 3)  # [B, H, 1, dh]
+    concat = head_out.reshape(batch, cfg.d_model)
+    cls_in = concat @ net.attn_out + q0
+    logits = cls_in @ net.cls_w + net.cls_b
+    return logits, ForwardTrace(x=x, q0=q0, cls_in=cls_in, logits=logits, kg=kg, kv0=kv0,
+                                q=q, k=k, v=v, attn=attn, concat=concat)
 
 
 def backward(
@@ -376,25 +368,55 @@ def _batch_plan(
     return batches
 
 
+def _fold_knowledge(net: FusionNet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The knowledge projection folded into each head's key and value maps:
+    proj_kg_w attn_k[h] as [H, dh, knowledge_dim], proj_kg_w attn_v[h] as
+    [H, knowledge_dim, dh], and the value bias proj_kg_b attn_v[h], heads
+    side by side in one [d] vector."""
+    cfg = net.cfg
+    heads = (cfg.knowledge_dim, cfg.num_heads, cfg.head_dim)
+    key_map = (net.proj_kg_w @ _columns(net.attn_k)).reshape(heads).transpose(1, 2, 0)
+    value_map = (net.proj_kg_w @ _columns(net.attn_v)).reshape(heads).transpose(1, 0, 2)
+    return key_map, value_map, net.proj_kg_b @ _columns(net.attn_v)
+
+
+def _eval_logits(
+    net: FusionNet, folded: tuple[np.ndarray, ...] | None, x: np.ndarray,
+    ids: np.ndarray, concepts: np.ndarray,
+) -> np.ndarray:
+    """Logits [B, 2] of one equal-n_k batch, attending over the raw concept
+    rows with the maps of _fold_knowledge (None for the ablation net). The
+    batch's temporaries die when the call returns, before the next batch."""
+    cfg = net.cfg
+    q0 = _multimodal_batch(cfg, x) @ net.proj_mm_w + net.proj_mm_b
+    if folded is None:
+        return q0 @ net.cls_w + net.cls_b
+    key_map, value_map, value_bias = folded
+    batch, h, dh = len(ids), cfg.num_heads, cfg.head_dim
+    c = np.empty(ids.shape + (cfg.knowledge_dim,))
+    for j in range(ids.shape[1]):  # float64 rows without a float32 copy of the whole batch
+        c[:, j] = concepts[ids[:, j]]
+    q = (q0 @ _columns(net.attn_q)).reshape(batch, h, dh).transpose(1, 0, 2)  # [H, B, dh]
+    r = (q @ key_map).transpose(1, 0, 2)  # [B, H, knowledge_dim]
+    attn = _softmax(r @ c.transpose(0, 2, 1) / np.sqrt(dh), axis=-1)  # [B, H, n_k]
+    mixed = (attn @ c).transpose(1, 0, 2)  # [H, B, knowledge_dim]
+    concat = (mixed @ value_map).transpose(1, 0, 2).reshape(batch, cfg.d_model) + value_bias
+    return (concat @ net.attn_out + q0) @ net.cls_w + net.cls_b
+
+
 def _eval_net(
     net: FusionNet, records: list[CampaignRecord], concepts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(labels, predicted labels, positive-class probabilities), batched.
-    Each batch projects its distinct concepts once, then indexes them per record."""
+    The knowledge maps are folded once per call (see the module docstring)."""
+    folded = _fold_knowledge(net) if net.cfg.use_knowledge else None
     ks = np.array([len(r.concept_ids) for r in records])
     labels = np.array([r.label for r in records], dtype=np.int64)
     preds = np.empty(len(records), dtype=np.int64)
     p1 = np.empty(len(records), dtype=np.float64)
     for idx in _batch_plan(ks, np.arange(len(records)), 512):
         x, ids, _ = _gather(records, idx)
-        if net.cfg.use_knowledge:
-            distinct, where = np.unique(ids, return_inverse=True)
-            _, k, v = project_concepts(net, concepts[distinct])
-            where = where.reshape(ids.shape)
-            logits, _ = attend(net, x, k[where], v[where])
-        else:
-            logits, _ = attend(net, x, None, None)
-        probs = _softmax(logits, axis=-1)
+        probs = _softmax(_eval_logits(net, folded, x, ids, concepts), axis=-1)
         # Equal logits resolve to label 0.
         preds[idx] = (probs[:, 1] > probs[:, 0]).astype(np.int64)
         p1[idx] = probs[:, 1]
@@ -455,7 +477,13 @@ def train_classifier(
 
     adam = _Adam(net.flat)
     grad_flat = np.zeros_like(net.flat)
-    concept_adam = _Adam(concepts) if cfg.train_concepts and cfg.use_knowledge else None
+    # Concept training steps only the rows the training records use, held in
+    # concept_adam.param: every other row keeps zero gradient and moments, so
+    # a step over the whole matrix would leave it bit-identical.
+    concept_adam = None
+    if cfg.train_concepts and cfg.use_knowledge:
+        used = np.unique(np.concatenate([r.concept_ids for r in records]))
+        concept_adam = _Adam(concepts[used])
     history: list[dict] = []
     best_val = -1.0
     best_flat = net.flat.copy()
@@ -471,7 +499,12 @@ def train_classifier(
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
             x, ids, batch_labels = _gather(records, idx)
-            logits, trace = forward(net, x, concepts[ids])
+            if concept_adam is None:
+                kg = concepts[ids]
+            else:
+                ids = np.searchsorted(used, ids)
+                kg = concept_adam.param[ids]
+            logits, trace = forward(net, x, kg)
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(
@@ -480,9 +513,11 @@ def train_classifier(
             _, d_kg = backward(net, trace, batch_labels, out=grad_flat)
             adam.step(grad_flat, lr)
             if concept_adam is not None:
-                gc = np.zeros_like(concepts)
+                gc = np.zeros_like(concept_adam.param)
                 np.add.at(gc, ids, d_kg)
                 concept_adam.step(gc, lr)
+        if concept_adam is not None:
+            concepts[used] = concept_adam.param
 
         train_labels, train_preds, _ = _eval_net(net, records, concepts)
         val_labels, val_preds, _ = _eval_net(net, val_records, concepts)

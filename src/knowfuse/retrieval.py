@@ -61,7 +61,7 @@ def _normalise_rows(x: np.ndarray, single: bool, what: str, first: int = 0) -> N
     x /= norms[:, None]
 
 
-def top_k(index: ConceptIndex, queries: np.ndarray, k: int):
+def top_k(index: ConceptIndex, queries: np.ndarray, k: int, *, first: int = 0):
     """The k nearest rows by cosine similarity, for one query or a block.
 
     `queries` is one `[dim]` vector, which returns a list of (name, score)
@@ -69,6 +69,7 @@ def top_k(index: ConceptIndex, queries: np.ndarray, k: int):
     Scores are clipped into [-1, 1], descending, ties by insertion order.
     Fewer than k usable rows returns all of them. Raises ValueError on a dim
     mismatch, a zero-norm or non-finite query row, or k not an int >= 1.
+    Errors number the rows from `first`, for a block cut from a larger matrix.
     """
     check_value("k", k, int, min=1)
     q = np.asarray(queries)
@@ -82,8 +83,8 @@ def top_k(index: ConceptIndex, queries: np.ndarray, k: int):
     step = index.block_rows
     for start in range(0, q.shape[0], step):
         block = q[start : start + step].astype(np.float64)
-        _reject(~np.isfinite(block).all(axis=1), single, "query", "is not finite", start)
-        _normalise_rows(block, single, "query", start)
+        _reject(~np.isfinite(block).all(axis=1), single, "query", "is not finite", first + start)
+        _normalise_rows(block, single, "query", first + start)
         hits.extend(_search_block(index, block, k))
     return hits[0] if single else hits
 
@@ -119,12 +120,15 @@ def _search_block(
     ]
 
 
-def combine_text_caption(text_vec: np.ndarray, caption_vec: np.ndarray) -> np.ndarray:
+def combine_text_caption(
+    text_vec: np.ndarray, caption_vec: np.ndarray, *, first: int = 0
+) -> np.ndarray:
     """L2-normalised mean of the two L2-normalised inputs.
 
     Takes one `[dim]` pair or `[Q, dim]` pairs, combined row by row, and
     returns the same shape. Raises ValueError on mismatched shapes, a
-    zero-norm row, or a pair that cancels out.
+    zero-norm row, or a pair that cancels out; errors number the rows from
+    `first`, as top_k does.
     """
     # Copies, so the arithmetic below can run in place.
     t = np.array(text_vec, dtype=np.float64)
@@ -139,11 +143,12 @@ def combine_text_caption(text_vec: np.ndarray, caption_vec: np.ndarray) -> np.nd
     if t.shape != c.shape:
         raise ValueError(f"{t.shape[0]} text rows != {c.shape[0]} caption rows")
     t2, c2 = t.reshape(-1, t.shape[-1]), c.reshape(-1, c.shape[-1])  # views
-    _normalise_rows(t2, single, "text")
-    _normalise_rows(c2, single, "caption")
+    _normalise_rows(t2, single, "text", first)
+    _normalise_rows(c2, single, "caption", first)
     t2 += c2
     t2 /= 2.0  # t now holds the mean of the two unit vectors
     norms = np.linalg.norm(t2, axis=1)
-    _reject(norms == 0.0, single, "combined query", "is zero: text and caption cancel out")
+    _reject(norms == 0.0, single, "combined query", "is zero: text and caption cancel out",
+            first)
     t2 /= norms[:, None]
     return t

@@ -162,15 +162,25 @@ class BinaryReader:
         return struct.unpack_from(fmt, self.buf, self._skip(struct.calcsize(fmt)))
 
     def strings(self, n: int) -> list[str]:
-        """n strings, each a u16 byte length and that many UTF-8 bytes."""
+        """n strings, each a u16 byte length and that many UTF-8 bytes,
+        decoded in one pass over the file's bytes."""
+        data, pos, end = self.buf.obj, self.pos, len(self.buf)
         out = []
         try:
             for _ in range(n):
-                (size,) = self.unpack("<H")
-                start = self._skip(size)
-                out.append(str(self.buf[start : self.pos], "utf-8"))
+                start = pos + 2
+                if start > end:
+                    self.pos = pos
+                    self._skip(2)  # raises TruncatedStoreError
+                stop = start + (data[pos] | data[pos + 1] << 8)
+                if stop > end:
+                    self.pos = start
+                    self._skip(stop - start)  # raises TruncatedStoreError
+                out.append(data[start:stop].decode("utf-8"))
+                pos = stop
         except UnicodeDecodeError as exc:
             raise StoreFormatError(f"{self.path}: undecodable name bytes") from exc
+        self.pos = pos
         return out
 
     def floats(self, count: int) -> np.ndarray:

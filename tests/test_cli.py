@@ -255,6 +255,47 @@ class TestRetrieve:
                     [c["score"] for c in r["concepts"]], [s for _, s in hits], atol=1e-12
                 )
 
+    def test_streams_blocks_with_the_whole_matrix_bytes(self, retrieval_files, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * 12 * 3)  # blocks of 3 queries
+        concepts = read_store(retrieval_files["concepts"])
+        text = read_store(retrieval_files["queries"])
+        captions = read_store(retrieval_files["captions"])
+        whole = retrieval.top_k(retrieval.ConceptIndex(concepts),
+                                retrieval.combine_text_caption(text.vectors, captions.vectors), 4)
+        want = "".join(
+            json.dumps({"id": name, "concepts": [{"name": c, "score": s} for c, s in hits]},
+                       sort_keys=True) + "\n"
+            for name, hits in zip(text.names, whole))
+        seen = []
+        search = retrieval.top_k
+        monkeypatch.setattr(retrieval, "top_k",
+                            lambda index, q, k, **kw: seen.append(len(q)) or search(index, q, k, **kw))
+        out = tmp_path / "out"
+        assert main([
+            "retrieve", "--concepts", str(retrieval_files["concepts"]),
+            "--queries", str(retrieval_files["queries"]),
+            "--caption-queries", str(retrieval_files["captions"]), "--k", "4", "--out", str(out),
+        ]) == 0
+        assert (out / "retrieved.jsonl").read_text() == want
+        assert seen == [0, 3, 1]
+
+    def test_bad_row_in_a_later_block_leaves_no_output(self, retrieval_files, tmp_path, capsys,
+                                                      monkeypatch):
+        queries = read_store(retrieval_files["queries"])
+        vecs = queries.vectors.copy()
+        vecs[3] = 0.0
+        path = tmp_path / "zero.emb"
+        write_store(EmbeddingStore(dim=6, names=queries.names, vectors=vecs), path)
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * 12 * 2)
+        out = tmp_path / "out"
+        assert main([
+            "retrieve", "--concepts", str(retrieval_files["concepts"]), "--queries", str(path),
+            "--caption-queries", str(retrieval_files["captions"]), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: text row 3 has zero norm\n"
+        assert not (out / "retrieved.jsonl").exists()
+
     def test_zero_query_names_its_row(self, retrieval_files, tmp_path, capsys, monkeypatch):
         queries = read_store(retrieval_files["queries"])
         vecs = queries.vectors.copy()

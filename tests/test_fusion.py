@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -354,6 +354,34 @@ def _small_fusion_cfg(**overrides):
     return FusionConfig(**base)
 
 
+def _dense_concept_training(records, store, cfg):
+    """train_classifier's steps with a concept Adam step over the whole
+    concept matrix, as it once ran: the concept matrix after each epoch.
+    Validation draws no random numbers, so it is left out."""
+    rng = np.random.default_rng(cfg.seed)
+    net = FusionNet(cfg, rng=rng)
+    concepts = store.vectors.astype(np.float64)
+    ks = np.array([len(r.concept_ids) for r in records])
+    total = cfg.epochs * len(fusion._batch_plan(ks, np.arange(len(records)), cfg.batch_size))
+    warmup = int(round(cfg.warmup_fraction * total))
+    adam, concept_adam = fusion._Adam(net.flat), fusion._Adam(concepts)
+    grad_flat = np.zeros_like(net.flat)
+    step, per_epoch = 0, []
+    for _ in range(cfg.epochs):
+        for idx in fusion._batch_plan(ks, rng.permutation(len(records)), cfg.batch_size):
+            step += 1
+            lr = warmup_lr(step, total, warmup, cfg.learning_rate)
+            x, ids, labels = fusion._gather(records, idx)
+            _, trace = forward(net, x, concepts[ids])
+            _, d_kg = backward(net, trace, labels, out=grad_flat)
+            adam.step(grad_flat, lr)
+            gc = np.zeros_like(concepts)
+            np.add.at(gc, ids, d_kg)
+            concept_adam.step(gc, lr)
+        per_epoch.append(concepts.copy())
+    return per_epoch
+
+
 class TestTrainClassifier:
     def test_deterministic(self):
         records, store = _small_dataset()
@@ -431,6 +459,21 @@ class TestTrainClassifier:
         assert np.array_equal(blocked.net.flat, whole.net.flat)
         assert np.array_equal(blocked.concept_vectors, whole.concept_vectors)
 
+    def test_concept_step_matches_a_whole_matrix_step(self):
+        records, store = _small_dataset(n=100)
+        train, val = records[:80], records[80:]
+        for r in train:  # concepts 8 and 9 appear only in validation records
+            r.concept_ids = [c % 8 for c in r.concept_ids]
+        for i, r in enumerate(val):
+            r.concept_ids[0] = 8 + i % 2
+        cfg = _small_fusion_cfg(train_concepts=True, epochs=4, early_stop_patience=4)
+        res = train_classifier(train, store, cfg, val_records=val)
+        val_accs = [row["val_acc"] for row in res.history]
+        per_epoch = _dense_concept_training(train, store, cfg)
+        assert np.array_equal(res.concept_vectors, per_epoch[val_accs.index(max(val_accs))])
+        assert np.array_equal(res.concept_vectors[8:], store.vectors[8:].astype(np.float64))
+        assert not np.array_equal(res.concept_vectors[:8], store.vectors[:8].astype(np.float64))
+
     def test_untrained_concepts_not_returned(self):
         records, store = _small_dataset()
         res = train_classifier(records, store, _small_fusion_cfg())
@@ -482,15 +525,18 @@ def _shared_concept_records(rng, cfg, n_concepts, ks):
 
 
 class TestEvaluationPath:
-    """evaluate_records projects each distinct concept of a 512-record batch
-    once; it must score every record as the per-record oracle does."""
+    """evaluate_records attends over the raw concept rows with the knowledge
+    projection folded into the key and value maps; it must score every
+    record as the per-record oracle does."""
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_concepts=st.integers(1, 6),
            shared_k=st.integers(1, 6), extra=st.lists(st.integers(1, 6), max_size=40),
-           use_knowledge=st.booleans())
+           use_knowledge=st.booleans(), large_kg_bias=st.booleans())
+    @example(seed=5, n_concepts=4, shared_k=3, extra=[1, 6], use_knowledge=True,
+             large_kg_bias=True)
     def test_matches_reference_record_by_record(self, seed, n_concepts, shared_k, extra,
-                                                use_knowledge):
+                                                use_knowledge, large_kg_bias):
         rng = np.random.default_rng(seed)
         cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
                            use_knowledge=use_knowledge, seed=seed % 1000)
@@ -498,33 +544,45 @@ class TestEvaluationPath:
         records, store = _shared_concept_records(rng, cfg, n_concepts, [shared_k] * 513 + extra)
         rng.shuffle(records)
         net = FusionNet(cfg)
+        if large_kg_bias:
+            # Evaluation drops the score term q_h . (proj_kg_b attn_k[h]), the
+            # same for every concept of a record; make it dominate the scores.
+            net.proj_kg_b[...] = rng.uniform(50.0, 100.0, size=cfg.d_model)
         labels, preds, p1 = evaluate_records(net, records, store)
         assert labels.tolist() == [r.label for r in records]
+        bias_keys = np.stack([net.proj_kg_b @ w for w in net.attn_k])  # [H, dh]
+        dropped, kept = [], []
         for r, pred, got in zip(records, preds, p1):
-            logits, _ = ref.forward(net, r.multimodal_vec, store.vectors[r.concept_ids])
+            logits, trace = ref.forward(net, r.multimodal_vec, store.vectors[r.concept_ids])
             want = fusion._softmax(logits)
             assert abs(got - want[1]) <= 1e-12, r.id
             assert pred == int(want[1] > want[0]), r.id
+            if use_knowledge and large_kg_bias:
+                const = np.sum(trace.q * bias_keys, axis=1)  # [H]
+                scores = (trace.k @ trace.q[..., None])[..., 0]  # [H, n_k]
+                dropped.append(np.abs(const))
+                kept.append(np.abs(scores - const[:, None]).max(axis=1))
+        if dropped:
+            assert np.median(dropped) > 10 * np.median(kept)
 
     @pytest.mark.parametrize("use_knowledge", [True, False])
-    def test_projects_each_distinct_concept_once_per_batch(self, monkeypatch, use_knowledge):
+    def test_never_projects_and_folds_once_per_call(self, monkeypatch, use_knowledge):
         rng = np.random.default_rng(21)
         cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
                            use_knowledge=use_knowledge, seed=22)
         # Batches: the ten n_k = 2 records, then 512 and 88 n_k = 3 records.
         records, store = _shared_concept_records(rng, cfg, 7, [3] * 600 + [2] * 10)
-        projected = []
-        original = fusion.project_concepts
+        projected, folds = [], []
+        project, fold = fusion.project_concepts, fusion._fold_knowledge
         monkeypatch.setattr(fusion, "project_concepts",
-                            lambda net, rows: projected.append(rows) or original(net, rows))
-        evaluate_records(FusionNet(cfg), records, store)
-        if not use_knowledge:
-            assert projected == []
-            return
-        assert len(projected) == 3
-        for rows in projected:
-            assert len(np.unique(rows, axis=0)) == len(rows) <= store.n
-        assert len(projected[1]) == store.n  # 512 records over 7 concepts use them all
+                            lambda net, rows: projected.append(rows) or project(net, rows))
+        monkeypatch.setattr(fusion, "_fold_knowledge",
+                            lambda net: folds.append(net) or fold(net))
+        net = FusionNet(cfg)
+        evaluate_records(net, records, store)
+        evaluate_records(net, records[:5], store)
+        assert projected == []
+        assert folds == ([net, net] if use_knowledge else [])
 
     def test_record_without_concepts_is_named(self):
         records, store = _small_dataset(n=20)

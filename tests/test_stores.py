@@ -102,6 +102,29 @@ class TestStoreErrors:
         with pytest.raises(TruncatedStoreError):
             read_store(path)
 
+    # Header 20 bytes, kind "k" at 20, "ab" at 23 (bytes at 25), "cde" at 27 (bytes at 29).
+    @pytest.mark.parametrize("keep, needed, offset", [
+        (21, 2, 20), (24, 2, 23), (26, 2, 25), (28, 2, 27), (31, 3, 29),
+    ])
+    def test_truncated_name_table_names_the_read(self, tmp_path, keep, needed, offset):
+        path = tmp_path / "s.emb"
+        write_store(EmbeddingStore(dim=1, names=["ab", "cde"], kind_tag="k",
+                                   vectors=np.ones((2, 1), dtype=np.float32)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TruncatedStoreError,
+                           match=f"needed {needed} bytes at offset {offset}, file has {keep}$"):
+            read_store(path)
+
+    def test_undecodable_name_bytes(self, tmp_path):
+        path = tmp_path / "s.emb"
+        write_store(EmbeddingStore(dim=1, names=["ab", "cde"], kind_tag="k",
+                                   vectors=np.ones((2, 1), dtype=np.float32)), path)
+        raw = bytearray(path.read_bytes())
+        raw[30] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="undecodable name bytes"):
+            read_store(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "s.emb"
         write_store(_store(), path)
