@@ -214,13 +214,13 @@ def cmd_train_fusion(args) -> None:
     stores.write_csv(columns, ([row["epoch"], *(repr(row[c]) for c in columns[1:])]
                                for row in result.history), args.out / "history.csv")
 
-    # With --train-concepts the model was trained and early-stopped against
-    # its tuned concept vectors, so it is evaluated against them too.
+    # train_classifier evaluated train and val at the restored epoch. With
+    # --train-concepts the model was trained and early-stopped against its
+    # tuned concept vectors, so test is evaluated against them too.
     summary = {"lr_selected": result.net.cfg.learning_rate, "epochs_ran": len(result.history)}
-    for split_name, split_records in (("train", train), ("val", val), ("test", test)):
-        labels, preds, scores = fusion.evaluate_records(
-            result.net, split_records, concept_store, result.concept_vectors
-        )
+    evaluation = {**result.evaluation, "test": fusion.evaluate_records(
+        result.net, test, concept_store, result.concept_vectors)}
+    for split_name, (labels, preds, scores) in evaluation.items():
         ev = metrics.evaluate(labels, preds, scores)
         entry = ev.to_dict()
         entry["accuracy"] = float(np.mean(labels == preds))

@@ -12,18 +12,21 @@ logits. Training minimises cross-entropy with adaptive-moment updates whose
 learning rate ramps linearly from zero over the first warmup fraction of
 planned steps and then decays linearly back to zero.
 
-forward runs a batch of records that share n_k: project_concepts turns the
-knowledge rows into keys and values, then the projected multimodal rows
-attend over them. Training steps, with backward, and single-record predict
-call it. Evaluation (evaluate_records) never projects a concept. Since
-K = (C W^KG + b^KG) W_i^K, the key map folds into the query,
-r_i = W^KG W_i^K (q W_i^Q)^T, and scores are C r_i: the bias term is the same
-for every concept of a record, so the softmax cancels it. Since the
-attention weights a sum to 1, a (C W^KG + b^KG) W_i^V = (a C) W^KG W_i^V
-+ b^KG W_i^V. So evaluation folds the two maps once per call and each batch
-attends over its raw concept rows, with the same result as forward up to
-rounding. All are explicit numpy matrix products in float64; backward is hand
-derived and is checked against central finite differences in the test suite.
+forward runs a batch of records that share n_k and builds no per-row keys or
+values. It projects the knowledge rows once, kv0 = C W^KG + b^KG, moves each
+head's key map to the query side, r_i = W_i^K (q W_i^Q)^T, so the scores are
+kv0 r_i, and applies the value map after the mix, a (kv0 W_i^V) = (a kv0) W_i^V.
+backward uses the same factoring, and b^KG stays inside kv0, whose gradient
+gives proj_kg_b's. Training steps, with backward, and single-record predict
+call forward. Evaluation (evaluate_records) also folds W^KG into both maps
+once per call and attends over the raw concept rows C:
+r_i = W^KG W_i^K (q W_i^Q)^T, and the key bias adds the same term
+(b^KG W_i^K) . (q W_i^Q) to every score of a record, so the softmax cancels
+it; the attention weights sum to 1, so the value bias b^KG W_i^V is added
+once after the mix. Both run one attention core with their own rows and maps,
+and agree up to rounding. All are explicit numpy matrix products in float64;
+backward is hand derived and is checked against central finite differences
+and a per-record derivation in the test suite.
 The ablation flag use_knowledge=False skips attention entirely and classifies
 the projected multimodal vector alone.
 """
@@ -154,22 +157,16 @@ class ForwardTrace:
     """Everything backward() needs, cached from one forward pass over a batch."""
 
     x: np.ndarray  # [B, multimodal_dim]
-    q0: np.ndarray
+    q0: np.ndarray  # [B, d]
     cls_in: np.ndarray
     logits: np.ndarray
     kg: np.ndarray | None = None  # [B, n_k, knowledge_dim]
-    kv0: np.ndarray | None = None  # [B * n_k, d]
-    q: np.ndarray | None = None  # [B, H, dh]
-    k: np.ndarray | None = None  # [B, n_k, H, dh]
-    v: np.ndarray | None = None  # [B, n_k, H, dh]
+    kv0: np.ndarray | None = None  # [B, n_k, d], the projected knowledge rows
+    q: np.ndarray | None = None  # [H, B, dh]
+    r: np.ndarray | None = None  # [B, H, d], each head's query in row space, attn_k[h] q_h
     attn: np.ndarray | None = None  # [B, H, n_k], rows sum to 1
+    mix: np.ndarray | None = None  # [B, H, d], the rows mixed by attn, before attn_v
     concat: np.ndarray | None = None
-
-
-def _columns(w: np.ndarray) -> np.ndarray:
-    """Per-head weights [h, d, dh] as one [d, h * dh] matrix, heads side by side."""
-    h, d, dh = w.shape
-    return w.transpose(1, 0, 2).reshape(d, h * dh)
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -192,24 +189,42 @@ def _multimodal_batch(cfg: FusionConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def project_concepts(net: FusionNet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Knowledge rows [n, knowledge_dim] projected to d_model (kv0 [n, d],
-    which backward needs), and their keys and values [n, H, dh]. Only
-    forward calls it; evaluation folds the projection into its maps."""
+def _attend(
+    net: FusionNet, x: np.ndarray, rows: np.ndarray | None, key_map: np.ndarray | None = None,
+    value_map: np.ndarray | None = None, value_bias: np.ndarray | None = None, **fields,
+) -> ForwardTrace:
+    """The one attention core: x [B, multimodal_dim] is projected to q0, whose
+    heads q_h = q0 attn_q[h] attend over rows [B, n_k, n] with each head's key
+    map [H, dh, n] on the query side and its value map [H, n, dh] after the mix:
+
+        r_h = q_h key_map[h],  a_h = softmax(rows r_h / sqrt(dh)),
+        head_h = (a_h rows) value_map[h] (+ value_bias, [d]).
+
+    forward passes the projected rows with attn_k and attn_v, evaluation the
+    raw concept rows with the maps of _fold_knowledge. With rows None the
+    ablation net classifies q0 alone. `fields` fill the rest of the trace."""
     cfg = net.cfg
-    kv0 = np.asarray(rows, dtype=np.float64) @ net.proj_kg_w + net.proj_kg_b
-    heads = (len(kv0), cfg.num_heads, cfg.head_dim)
-    k = (kv0 @ _columns(net.attn_k)).reshape(heads)
-    v = (kv0 @ _columns(net.attn_v)).reshape(heads)
-    return kv0, k, v
+    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
+    if rows is None:
+        return ForwardTrace(x=x, q0=q0, cls_in=q0, logits=q0 @ net.cls_w + net.cls_b, **fields)
+    q = q0 @ net.attn_q  # [H, B, dh]
+    r = (q @ key_map).transpose(1, 0, 2)  # [B, H, n]
+    attn = _softmax(r @ rows.transpose(0, 2, 1) / np.sqrt(cfg.head_dim), axis=-1)  # [B, H, n_k]
+    mix = attn @ rows  # [B, H, n]
+    concat = (mix.transpose(1, 0, 2) @ value_map).transpose(1, 0, 2).reshape(len(x), cfg.d_model)
+    if value_bias is not None:
+        concat += value_bias
+    cls_in = concat @ net.attn_out + q0
+    return ForwardTrace(x=x, q0=q0, cls_in=cls_in, logits=cls_in @ net.cls_w + net.cls_b,
+                        q=q, r=r, attn=attn, mix=mix, concat=concat, **fields)
 
 
 def forward(
     net: FusionNet, x: np.ndarray, kg: np.ndarray | None
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits [B, 2] for a batch plus the cached trace: project_concepts
-    over every knowledge row, then the projected multimodal rows attend
-    over the keys and values.
+    """Logits [B, 2] for a batch plus the cached trace: the knowledge rows are
+    projected once, kv0 = kg proj_kg_w + proj_kg_b, and the projected
+    multimodal rows attend over them with attn_k and attn_v (_attend).
 
     x is [B, multimodal_dim]. kg is [B, n_k, knowledge_dim] with n_k >= 1
     when the net uses knowledge; it is ignored (and may be None) for the
@@ -217,35 +232,27 @@ def forward(
     """
     cfg = net.cfg
     x = _multimodal_batch(cfg, x)  # before the kg check, which reads its batch size
-    q0 = x @ net.proj_mm_w + net.proj_mm_b  # [B, d]
     if not cfg.use_knowledge:
-        logits = q0 @ net.cls_w + net.cls_b
-        return logits, ForwardTrace(x=x, q0=q0, cls_in=q0, logits=logits)
+        trace = _attend(net, x, None)
+        return trace.logits, trace
 
     kg = np.asarray(kg, dtype=np.float64)
     batch = x.shape[0]
     if kg.ndim != 3 or kg.shape[0] != batch or kg.shape[1] < 1 or kg.shape[2] != cfg.knowledge_dim:
         raise ValueError(f"knowledge batch must be [{batch}, n_k >= 1, {cfg.knowledge_dim}], "
                          f"got {kg.shape}")
-    n_k = kg.shape[1]
-    kv0, k, v = project_concepts(net, kg.reshape(batch * n_k, cfg.knowledge_dim))
-    k = k.reshape(batch, n_k, cfg.num_heads, cfg.head_dim)
-    v = v.reshape(k.shape)
-    q = (q0 @ _columns(net.attn_q)).reshape(batch, cfg.num_heads, cfg.head_dim)
-    scores = (k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(cfg.head_dim)
-    attn = _softmax(scores, axis=-1)  # [B, H, n_k]
-    head_out = attn[:, :, None, :] @ v.transpose(0, 2, 1, 3)  # [B, H, 1, dh]
-    concat = head_out.reshape(batch, cfg.d_model)
-    cls_in = concat @ net.attn_out + q0
-    logits = cls_in @ net.cls_w + net.cls_b
-    return logits, ForwardTrace(x=x, q0=q0, cls_in=cls_in, logits=logits, kg=kg, kv0=kv0,
-                                q=q, k=k, v=v, attn=attn, concat=concat)
+    kv0 = kg.reshape(-1, cfg.knowledge_dim) @ net.proj_kg_w + net.proj_kg_b
+    kv0 = kv0.reshape(batch, -1, cfg.d_model)
+    trace = _attend(net, x, kv0, net.attn_k.transpose(0, 2, 1), net.attn_v, kg=kg, kv0=kv0)
+    return trace.logits, trace
 
 
 def backward(
-    net: FusionNet, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of the batch-mean cross-entropy, plus d kg [B, n_k, kg_dim].
+    net: FusionNet, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None,
+    kg_grad: bool = True,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Gradients of the batch-mean cross-entropy, plus d kg [B, n_k, kg_dim]
+    (None when kg_grad is False; the parameter gradients do not change).
 
     The gradients are views by parameter name into one vector laid out like
     net.flat, which is itself under "flat": `out` when given, else a new
@@ -267,34 +274,29 @@ def backward(
 
     if trace.kv0 is None:
         d_q0 = d_cls_in
-        d_kg = np.zeros((batch, 0, cfg.knowledge_dim))
+        d_kg = np.zeros((batch, 0, cfg.knowledge_dim)) if kg_grad else None
     else:
-        rows = trace.kv0.shape[0]  # B * n_k
-        d_q0 = d_cls_in.copy()
+        kv0 = trace.kv0  # [B, n_k, d]
         g["attn_out"][...] = trace.concat.T @ d_cls_in
-        d_head = (d_cls_in @ net.attn_out.T).reshape(batch, cfg.num_heads, cfg.head_dim)
+        d_head = (d_cls_in @ net.attn_out.T).reshape(batch, cfg.num_heads, -1).transpose(1, 0, 2)
+        g["attn_v"][...] = trace.mix.transpose(1, 2, 0) @ d_head  # [H, d, B] @ [H, B, dh]
+        w = (d_head @ net.attn_v.transpose(0, 2, 1)).transpose(1, 0, 2)  # [B, H, d]
 
         # Softmax backward: d_scores = A * (dA - sum(A * dA)) per row.
-        d_attn = (trace.v.transpose(0, 2, 1, 3) @ d_head[..., None])[..., 0]
+        d_attn = w @ kv0.transpose(0, 2, 1)
         inner = np.sum(trace.attn * d_attn, axis=-1, keepdims=True)
         d_scores = trace.attn * (d_attn - inner) / np.sqrt(cfg.head_dim)
-        d_q = (d_scores[:, :, None, :] @ trace.k.transpose(0, 2, 1, 3)).reshape(batch, -1)
-        # d k and d v in the [B, n_k, H, dh] layout of k and v.
-        d_k = (d_scores.transpose(0, 2, 1)[..., None] * trace.q[:, None]).reshape(rows, -1)
-        d_v = (trace.attn.transpose(0, 2, 1)[..., None] * d_head[:, None]).reshape(rows, -1)
+        d_r = (d_scores @ kv0).transpose(1, 0, 2)  # [H, B, d]
+        g["attn_k"][...] = d_r.transpose(0, 2, 1) @ trace.q
+        d_q = d_r @ net.attn_k  # [H, B, dh]
+        g["attn_q"][...] = trace.q0.T @ d_q
+        d_q0 = d_cls_in + (d_q @ net.attn_q.transpose(0, 2, 1)).sum(axis=0)
 
-        # A [d, H * dh] product fills an [H, d, dh] gradient through a transposed view.
-        heads = (-1, cfg.num_heads, cfg.head_dim)
-        g["attn_q"].transpose(1, 0, 2)[...] = (trace.q0.T @ d_q).reshape(heads)
-        d_q0 += d_q @ _columns(net.attn_q).T
-        g["attn_k"].transpose(1, 0, 2)[...] = (trace.kv0.T @ d_k).reshape(heads)
-        d_kv0 = d_k @ _columns(net.attn_k).T
-        g["attn_v"].transpose(1, 0, 2)[...] = (trace.kv0.T @ d_v).reshape(heads)
-        d_kv0 += d_v @ _columns(net.attn_v).T
-
-        g["proj_kg_w"][...] = trace.kg.reshape(rows, -1).T @ d_kv0
+        d_kv0 = trace.attn.transpose(0, 2, 1) @ w + d_scores.transpose(0, 2, 1) @ trace.r
+        d_kv0 = d_kv0.reshape(-1, cfg.d_model)  # [B * n_k, d]
+        g["proj_kg_w"][...] = trace.kg.reshape(len(d_kv0), -1).T @ d_kv0
         g["proj_kg_b"][...] = d_kv0.sum(axis=0)
-        d_kg = (d_kv0 @ net.proj_kg_w.T).reshape(trace.kg.shape)
+        d_kg = (d_kv0 @ net.proj_kg_w.T).reshape(trace.kg.shape) if kg_grad else None
 
     g["proj_mm_w"][...] = trace.x.T @ d_q0
     g["proj_mm_b"][...] = d_q0.sum(axis=0)
@@ -340,8 +342,12 @@ class _Adam:
 
 @dataclass
 class TrainResult:
+    """The net restored to its best epoch, one history row per epoch, and
+    that epoch's evaluate_records output for the "train" and "val" records."""
+
     net: FusionNet
     history: list[dict]
+    evaluation: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     concept_vectors: np.ndarray | None = None
 
 
@@ -353,9 +359,7 @@ def _gather(records: list[CampaignRecord], idx: np.ndarray):
     return x, ids, labels
 
 
-def _batch_plan(
-    ks: np.ndarray, order: np.ndarray, batch_size: int
-) -> list[np.ndarray]:
+def _batch_plan(ks: np.ndarray, order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     """Chunk a shuffled index order into batches of records sharing n_k."""
     groups: dict[int, list[int]] = {}
     for i in order:
@@ -369,39 +373,28 @@ def _batch_plan(
 
 
 def _fold_knowledge(net: FusionNet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The knowledge projection folded into each head's key and value maps:
-    proj_kg_w attn_k[h] as [H, dh, knowledge_dim], proj_kg_w attn_v[h] as
-    [H, knowledge_dim, dh], and the value bias proj_kg_b attn_v[h], heads
-    side by side in one [d] vector."""
-    cfg = net.cfg
-    heads = (cfg.knowledge_dim, cfg.num_heads, cfg.head_dim)
-    key_map = (net.proj_kg_w @ _columns(net.attn_k)).reshape(heads).transpose(1, 2, 0)
-    value_map = (net.proj_kg_w @ _columns(net.attn_v)).reshape(heads).transpose(1, 0, 2)
-    return key_map, value_map, net.proj_kg_b @ _columns(net.attn_v)
+    """The knowledge projection folded into each head's key and value maps,
+    laid out for _attend: proj_kg_w attn_k[h] as [H, dh, knowledge_dim],
+    proj_kg_w attn_v[h] as [H, knowledge_dim, dh], and the value bias
+    proj_kg_b attn_v[h], heads side by side in one [d] vector."""
+    return ((net.proj_kg_w @ net.attn_k).transpose(0, 2, 1), net.proj_kg_w @ net.attn_v,
+            (net.proj_kg_b @ net.attn_v).reshape(net.cfg.d_model))
 
 
 def _eval_logits(
-    net: FusionNet, folded: tuple[np.ndarray, ...] | None, x: np.ndarray,
+    net: FusionNet, folded: tuple[np.ndarray, ...], x: np.ndarray,
     ids: np.ndarray, concepts: np.ndarray,
 ) -> np.ndarray:
     """Logits [B, 2] of one equal-n_k batch, attending over the raw concept
-    rows with the maps of _fold_knowledge (None for the ablation net). The
+    rows with the maps of _fold_knowledge (empty for the ablation net). The
     batch's temporaries die when the call returns, before the next batch."""
-    cfg = net.cfg
-    q0 = _multimodal_batch(cfg, x) @ net.proj_mm_w + net.proj_mm_b
-    if folded is None:
-        return q0 @ net.cls_w + net.cls_b
-    key_map, value_map, value_bias = folded
-    batch, h, dh = len(ids), cfg.num_heads, cfg.head_dim
-    c = np.empty(ids.shape + (cfg.knowledge_dim,))
+    x = _multimodal_batch(net.cfg, x)
+    if not folded:
+        return _attend(net, x, None).logits
+    c = np.empty(ids.shape + (net.cfg.knowledge_dim,))
     for j in range(ids.shape[1]):  # float64 rows without a float32 copy of the whole batch
         c[:, j] = concepts[ids[:, j]]
-    q = (q0 @ _columns(net.attn_q)).reshape(batch, h, dh).transpose(1, 0, 2)  # [H, B, dh]
-    r = (q @ key_map).transpose(1, 0, 2)  # [B, H, knowledge_dim]
-    attn = _softmax(r @ c.transpose(0, 2, 1) / np.sqrt(dh), axis=-1)  # [B, H, n_k]
-    mixed = (attn @ c).transpose(1, 0, 2)  # [H, B, knowledge_dim]
-    concat = (mixed @ value_map).transpose(1, 0, 2).reshape(batch, cfg.d_model) + value_bias
-    return (concat @ net.attn_out + q0) @ net.cls_w + net.cls_b
+    return _attend(net, x, c, *folded).logits
 
 
 def _eval_net(
@@ -409,7 +402,7 @@ def _eval_net(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(labels, predicted labels, positive-class probabilities), batched.
     The knowledge maps are folded once per call (see the module docstring)."""
-    folded = _fold_knowledge(net) if net.cfg.use_knowledge else None
+    folded = _fold_knowledge(net) if net.cfg.use_knowledge else ()
     ks = np.array([len(r.concept_ids) for r in records])
     labels = np.array([r.label for r in records], dtype=np.int64)
     preds = np.empty(len(records), dtype=np.int64)
@@ -429,9 +422,7 @@ def _resolve_ids(records: list[CampaignRecord], n_concepts: int, cfg: FusionConf
             raise ValueError(f"record {r.id}: no concepts, but the net attends over knowledge")
         for c in r.concept_ids:
             if not 0 <= c < n_concepts:
-                raise ValueError(
-                    f"record {r.id}: concept id {c} outside store of {n_concepts}"
-                )
+                raise ValueError(f"record {r.id}: concept id {c} outside store of {n_concepts}")
 
 
 def train_classifier(
@@ -461,8 +452,7 @@ def train_classifier(
         val_records = [records[i] for i in order[:n_val]]
         records = [records[i] for i in order[n_val:]]
 
-    labels_present = {r.label for r in records}
-    if labels_present != {0, 1}:
+    if {r.label for r in records} != {0, 1}:
         raise ValueError("training records must include both labels")
 
     # Trained concepts need a float64 copy; forward converts gathered rows exactly.
@@ -484,10 +474,16 @@ def train_classifier(
     if cfg.train_concepts and cfg.use_knowledge:
         used = np.unique(np.concatenate([r.concept_ids for r in records]))
         concept_adam = _Adam(concepts[used])
+
+    def split_eval():  # (labels, predictions, p1) of each split, as evaluate_records gives them
+        return {"train": _eval_net(net, records, concepts),
+                "val": _eval_net(net, val_records, concepts)}
+
     history: list[dict] = []
     best_val = -1.0
     best_flat = net.flat.copy()
-    best_concepts = concepts.copy() if cfg.train_concepts else None
+    best_used = None if concept_adam is None else concept_adam.param.copy()
+    evaluation = None
     stale = 0
     step = 0
 
@@ -507,10 +503,10 @@ def train_classifier(
             logits, trace = forward(net, x, kg)
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
             if not np.isfinite(epoch_loss):
-                raise TrainingDivergedError(
-                    f"fusion: non-finite loss in epoch {epoch + 1}, batch {batch}"
-                )
-            _, d_kg = backward(net, trace, batch_labels, out=grad_flat)
+                raise TrainingDivergedError(f"fusion: non-finite loss in epoch {epoch + 1}, "
+                                            f"batch {batch}")
+            _, d_kg = backward(net, trace, batch_labels, out=grad_flat,
+                               kg_grad=concept_adam is not None)
             adam.step(grad_flat, lr)
             if concept_adam is not None:
                 gc = np.zeros_like(concept_adam.param)
@@ -519,24 +515,17 @@ def train_classifier(
         if concept_adam is not None:
             concepts[used] = concept_adam.param
 
-        train_labels, train_preds, _ = _eval_net(net, records, concepts)
-        val_labels, val_preds, _ = _eval_net(net, val_records, concepts)
-        train_acc = float(np.mean(train_labels == train_preds))
-        val_acc = float(np.mean(val_labels == val_preds))
-        history.append(
-            {
-                "epoch": epoch + 1,
-                "lr": lr,
-                "train_loss": epoch_loss / len(records),
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-            }
-        )
+        epoch_eval = split_eval()
+        train_acc, val_acc = (float(np.mean(labels == preds))
+                              for labels, preds, _ in epoch_eval.values())
+        history.append({"epoch": epoch + 1, "lr": lr, "train_loss": epoch_loss / len(records),
+                        "train_acc": train_acc, "val_acc": val_acc})
         if val_acc > best_val:
             best_val = val_acc
             best_flat[...] = net.flat
-            if cfg.train_concepts:
-                best_concepts[...] = concepts
+            if concept_adam is not None:
+                best_used[...] = concept_adam.param
+            evaluation = epoch_eval
             stale = 0
         else:
             stale += 1
@@ -544,7 +533,12 @@ def train_classifier(
                 break
 
     net.flat[...] = best_flat
-    return TrainResult(net=net, history=history, concept_vectors=best_concepts)
+    if concept_adam is not None:
+        concepts[used] = best_used
+    if evaluation is None:  # no epoch ran
+        evaluation = split_eval()
+    return TrainResult(net=net, history=history, evaluation=evaluation,
+                       concept_vectors=concepts if cfg.train_concepts else None)
 
 
 def predict(
@@ -560,9 +554,7 @@ def predict(
 
 
 def evaluate_records(
-    net: FusionNet,
-    records: list[CampaignRecord],
-    concept_store: EmbeddingStore,
+    net: FusionNet, records: list[CampaignRecord], concept_store: EmbeddingStore,
     concept_vectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(labels, predictions, positive-class scores) over a record list.

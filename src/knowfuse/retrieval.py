@@ -25,10 +25,15 @@ class ConceptIndex:
     def __init__(self, store: EmbeddingStore) -> None:
         self.store = store
         vecs = store.vectors.astype(np.float64)
-        norms = np.linalg.norm(vecs, axis=1)
+        # Row blocks bound norm's squared temporary; each row's norm is the same.
+        norms = np.empty(len(vecs))
+        step = max(1, SCORE_BLOCK_BYTES // (8 * max(store.dim, 1)))
+        for start in range(0, len(vecs), step):
+            norms[start : start + step] = np.linalg.norm(vecs[start : start + step], axis=1)
         self.usable = np.nonzero(norms > 0.0)[0]
-        self._vecs = vecs[self.usable]
-        self._norms = norms[self.usable]
+        if len(self.usable) < len(vecs):  # else the one float64 copy is the index
+            vecs, norms = vecs[self.usable], norms[self.usable]
+        self._vecs, self._norms = vecs, norms
 
     @property
     def dim(self) -> int:

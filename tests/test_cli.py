@@ -382,16 +382,18 @@ class TestTrainFusionAndPredict:
 
     def test_lr_sweep_scores_each_split_once(self, data, tmp_path, monkeypatch):
         # Each swept lr is judged by its history's best val_acc, the accuracy
-        # of the weights train_classifier restores, so the validation split
-        # is scored again only for metrics.json.
+        # of the weights train_classifier restores. train_classifier scored
+        # train and val at that epoch, so metrics.json scores only test again.
         scored = []
         original = fusion.evaluate_records
         monkeypatch.setattr(fusion, "evaluate_records",
                             lambda net, recs, *a: scored.append(len(recs)) or original(net, recs, *a))
         out = tmp_path / "model"
         assert main(_fusion_args(data, out, "--lr-sweep", "--train-concepts")) == 0
-        assert len(scored) == 3 and sum(scored) == 60  # train, val, test
         metrics = json.loads((out / "metrics.json").read_text())
+        counts = {split: sum(metrics[split][c] for c in ("tp", "fp", "tn", "fn"))
+                  for split in ("train", "val", "test")}
+        assert scored == [counts["test"]] and sum(counts.values()) == 60
         rows = (out / "history.csv").read_text().splitlines()[1:]
         assert metrics["val"]["accuracy"] == max(float(row.split(",")[4]) for row in rows)
 

@@ -321,6 +321,52 @@ class TestBatchedPath:
         want_kg = np.stack([g["kg_vecs"] for g in single_grads]) / batch
         assert_allclose(d_kg, want_kg, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6), n_k=st.integers(1, 6),
+           heads=st.sampled_from([1, 2, 4]), large_kg_bias=st.booleans())
+    @example(seed=3, batch=6, n_k=6, heads=4, large_kg_bias=True)
+    def test_training_step_matches_reference(self, seed, batch, n_k, heads, large_kg_bias):
+        """forward and backward of a training step, which attend over the
+        projected rows with each head's key map on the query side, against
+        the per-record oracle, which builds every key and value."""
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(d_model=8, num_heads=heads, multimodal_dim=6, knowledge_dim=5,
+                           seed=seed % 1000)
+        net = FusionNet(cfg)
+        if large_kg_bias:
+            net.proj_kg_b[...] = rng.uniform(50.0, 100.0, size=cfg.d_model)
+        mm = rng.normal(size=(batch, cfg.multimodal_dim))
+        kg = rng.normal(size=(batch, n_k, cfg.knowledge_dim))
+        labels = rng.integers(0, 2, size=batch)
+
+        logits, trace = forward(net, mm, kg)
+        grads, d_kg = backward(net, trace, labels)
+        single = []
+        for i in range(batch):
+            logits_i, trace_i = ref.forward(net, mm[i], kg[i])
+            assert_allclose(logits[i], logits_i, rtol=1e-10, atol=1e-12)
+            assert_allclose(trace.attn[i], trace_i.attn, rtol=1e-10, atol=1e-12)
+            single.append(ref.backward(net, trace_i, int(labels[i])))
+        for name in net.PARAM_NAMES:
+            mean = np.mean([g[name] for g in single], axis=0)
+            assert_allclose(grads[name], mean, rtol=1e-9, atol=1e-12, err_msg=name)
+        want_kg = np.stack([g["kg_vecs"] for g in single]) / batch
+        assert_allclose(d_kg, want_kg, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("use_knowledge", [True, False])
+    def test_parameter_gradients_do_not_depend_on_kg_grad(self, use_knowledge):
+        cfg = FusionConfig(d_model=8, num_heads=2, multimodal_dim=6, knowledge_dim=5,
+                           use_knowledge=use_knowledge, seed=23)
+        net = FusionNet(cfg)
+        rng = np.random.default_rng(24)
+        net.proj_kg_b[...] = rng.normal(size=cfg.d_model)
+        _, trace = forward(net, rng.normal(size=(4, 6)), rng.normal(size=(4, 3, 5)))
+        labels = np.array([0, 1, 1, 0])
+        with_kg, d_kg = backward(net, trace, labels)
+        without, none = backward(net, trace, labels, kg_grad=False)
+        assert np.array_equal(with_kg["flat"], without["flat"])
+        assert none is None and d_kg.shape == ((4, 3, 5) if use_knowledge else (4, 0, 5))
+
 
 class TestWarmupSchedule:
     def test_hand_values(self):
@@ -474,6 +520,40 @@ class TestTrainClassifier:
         assert np.array_equal(res.concept_vectors[8:], store.vectors[8:].astype(np.float64))
         assert not np.array_equal(res.concept_vectors[:8], store.vectors[:8].astype(np.float64))
 
+    def test_concept_snapshot_from_an_early_best_epoch(self):
+        records, store = _small_dataset(n=100, seed=7)
+        train, val = records[:80], records[80:]
+        for r in train:  # concepts 8 and 9 appear only in validation records
+            r.concept_ids = [c % 8 for c in r.concept_ids]
+        for i, r in enumerate(val):
+            r.concept_ids[0] = 8 + i % 2
+        cfg = _small_fusion_cfg(train_concepts=True, epochs=5, early_stop_patience=5)
+        res = train_classifier(train, store, cfg, val_records=val)
+        val_accs = [row["val_acc"] for row in res.history]
+        best = val_accs.index(max(val_accs))
+        assert best < len(res.history) - 1  # the case this test is for
+        per_epoch = _dense_concept_training(train, store, cfg)
+        assert not np.array_equal(per_epoch[best], per_epoch[-1])
+        assert np.array_equal(res.concept_vectors, per_epoch[best])
+        assert np.array_equal(res.concept_vectors[8:], store.vectors[8:].astype(np.float64))
+
+    @pytest.mark.parametrize("train_concepts", [False, True])
+    @pytest.mark.parametrize("epochs", [0, 4])
+    def test_evaluation_is_the_restored_epochs(self, train_concepts, epochs):
+        records, store = _small_dataset(n=100)
+        train, val = records[:80], records[80:]
+        cfg = _small_fusion_cfg(train_concepts=train_concepts, epochs=epochs,
+                                early_stop_patience=1)
+        res = train_classifier(train, store, cfg, val_records=val)
+        assert list(res.evaluation) == ["train", "val"]
+        for split, split_records in (("train", train), ("val", val)):
+            want = evaluate_records(res.net, split_records, store, res.concept_vectors)
+            for got, w in zip(res.evaluation[split], want, strict=True):
+                assert np.array_equal(got, w), split
+        if res.history:
+            labels, preds, _ = res.evaluation["val"]
+            assert np.mean(labels == preds) == max(row["val_acc"] for row in res.history)
+
     def test_untrained_concepts_not_returned(self):
         records, store = _small_dataset()
         res = train_classifier(records, store, _small_fusion_cfg())
@@ -572,17 +652,19 @@ class TestEvaluationPath:
                            use_knowledge=use_knowledge, seed=22)
         # Batches: the ten n_k = 2 records, then 512 and 88 n_k = 3 records.
         records, store = _shared_concept_records(rng, cfg, 7, [3] * 600 + [2] * 10)
-        projected, folds = [], []
-        project, fold = fusion.project_concepts, fusion._fold_knowledge
-        monkeypatch.setattr(fusion, "project_concepts",
-                            lambda net, rows: projected.append(rows) or project(net, rows))
+        forwards, folds = [], []
+        fwd, fold = fusion.forward, fusion._fold_knowledge
+        monkeypatch.setattr(fusion, "forward",
+                            lambda net, x, kg: forwards.append(x) or fwd(net, x, kg))
         monkeypatch.setattr(fusion, "_fold_knowledge",
                             lambda net: folds.append(net) or fold(net))
         net = FusionNet(cfg)
         evaluate_records(net, records, store)
         evaluate_records(net, records[:5], store)
-        assert projected == []
+        assert forwards == []
         assert folds == ([net, net] if use_knowledge else [])
+        predict(net, records[0], store)  # the wrapper sees the calls that are made
+        assert len(forwards) == 1 and folds == ([net, net] if use_knowledge else [])
 
     def test_record_without_concepts_is_named(self):
         records, store = _small_dataset(n=20)

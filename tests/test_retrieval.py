@@ -1,6 +1,8 @@
 """Cosine top-k retrieval against a brute-force oracle."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from knowfuse.retrieval import (
+    SCORE_BLOCK_BYTES,
     ConceptIndex,
     combine_text_caption,
     top_k,
@@ -103,6 +106,28 @@ class TestTopK:
         assert index.num_usable == 2
         names = [n for n, _ in top_k(index, np.array([1.0, 1.0]), 10)]
         assert names == ["a", "b"]
+
+    @pytest.mark.parametrize("zero_row", [None, 7])
+    def test_index_holds_one_float64_copy(self, zero_row):
+        n, dim = 8000, 256
+        vecs = np.random.default_rng(12).normal(size=(n, dim)).astype(np.float32)
+        if zero_row is not None:
+            vecs[zero_row] = 0.0
+        store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
+        tracemalloc.start()
+        try:
+            index = ConceptIndex(store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        norms = np.linalg.norm(vecs.astype(np.float64), axis=1)
+        usable = norms > 0.0
+        assert_array_equal(index._norms, norms[usable])  # the same bits as one whole-matrix norm
+        assert_array_equal(index._vecs, vecs[usable].astype(np.float64))
+        if zero_row is None:
+            # One float64 copy of the matrix, its norms, and the squares of
+            # one block of rows; a second copy would add 15.6 MiB.
+            assert peak <= 8 * n * dim + SCORE_BLOCK_BYTES + 16 * n + (64 << 10)
 
     def test_k_larger_than_store_returns_all(self):
         index = _index(n=5)
