@@ -162,7 +162,7 @@ def cmd_retrieve(args) -> None:
 
     def blocks():
         # One block of queries at a time, so memory does not grow with their count.
-        step = index.block_rows
+        step = index.block_rows(args.k)
         for start in range(0, queries.n, step):
             rows = slice(start, start + step)
             block = queries.vectors[rows]

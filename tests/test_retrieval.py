@@ -1,7 +1,9 @@
 """Cosine top-k retrieval against a brute-force oracle."""
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from knowfuse import retrieval
 from knowfuse.retrieval import (
     SCORE_BLOCK_BYTES,
+    TILE_ALIGN,
+    TILE_QUERIES,
     ConceptIndex,
     combine_text_caption,
     top_k,
@@ -91,12 +96,14 @@ class TestTopK:
             assert scores == sorted(scores, reverse=True)
 
     def test_exact_ties_keep_insertion_order(self):
-        # rows 0 and 2 are identical, row 1 is scaled: all three tie at 1.0
+        # rows 0 and 2 are equal, row 1 is scaled: all three tie at 1.0
         vecs = np.array(
-            [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32
+            [[1.0, 0.0], [2.0, 0.0], [1.0, -0.0], [0.0, 1.0]], dtype=np.float32
         )
         store = EmbeddingStore(dim=2, names=["a", "b", "c", "d"], vectors=vecs)
-        got = top_k(ConceptIndex(store), np.array([1.0, 0.0]), 3)
+        index = ConceptIndex(store)
+        assert index.num_distinct == 3  # -0.0 equals 0.0: row 2 copies row 0
+        got = top_k(index, np.array([1.0, 0.0]), 3)
         assert [n for n, _ in got] == ["a", "b", "c"]
 
     def test_zero_rows_excluded(self):
@@ -107,12 +114,18 @@ class TestTopK:
         names = [n for n, _ in top_k(index, np.array([1.0, 1.0]), 10)]
         assert names == ["a", "b"]
 
-    @pytest.mark.parametrize("zero_row", [None, 7])
-    def test_index_holds_one_float64_copy(self, zero_row):
+    @pytest.mark.parametrize("dropped", [None, 7, "copies"])
+    def test_index_holds_one_float64_copy(self, dropped):
+        # Nothing dropped, row 7 zeroed, or rows 4000 to 4399 copying 0 to 399.
         n, dim = 8000, 256
         vecs = np.random.default_rng(12).normal(size=(n, dim)).astype(np.float32)
-        if zero_row is not None:
-            vecs[zero_row] = 0.0
+        distinct = np.ones(n, dtype=bool)
+        if dropped == 7:
+            vecs[7] = 0.0
+            distinct[7] = False
+        if dropped == "copies":
+            vecs[4000:4400] = vecs[:400]
+            distinct[4000:4400] = False
         store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
         tracemalloc.start()
         try:
@@ -121,13 +134,11 @@ class TestTopK:
         finally:
             tracemalloc.stop()
         norms = np.linalg.norm(vecs.astype(np.float64), axis=1)
-        usable = norms > 0.0
-        assert_array_equal(index._norms, norms[usable])  # the same bits as one whole-matrix norm
-        assert_array_equal(index._vecs, vecs[usable].astype(np.float64))
-        if zero_row is None:
-            # One float64 copy of the matrix, its norms, and the squares of
-            # one block of rows; a second copy would add 15.6 MiB.
-            assert peak <= 8 * n * dim + SCORE_BLOCK_BYTES + 16 * n + (64 << 10)
+        assert_array_equal(index._norms, norms[distinct])  # the same bits as one whole-matrix norm
+        assert_array_equal(index._vecs, vecs[distinct].astype(np.float64))
+        # One float64 copy of the distinct rows, their norms, and the rows of
+        # one block; a second copy would add at least 15 MiB.
+        assert peak <= 8 * index.num_distinct * dim + SCORE_BLOCK_BYTES + 16 * n + (64 << 10)
 
     def test_k_larger_than_store_returns_all(self):
         index = _index(n=5)
@@ -145,12 +156,15 @@ class TestTopK:
 
 @st.composite
 def _search_case(draw):
-    """A store with planted exact copies and zero rows, a query block, and k.
+    """A store with planted exact copies and zero rows, a query block, k,
+    and a tile width: 0 keeps the default, which spans every row drawn.
 
     Rows that are not copies are random normals, so any two of them tie
     only with probability zero and the oracle's order is unambiguous."""
-    n = draw(st.integers(1, 24))
-    dim = draw(st.integers(1, 6))
+    # Past the 8-wide edges of the BLAS kernels, which once scored exact
+    # copies an ulp apart; at most 24 rows of 6 values never showed it.
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vecs = rng.normal(size=(n, dim))
     for row in range(1, n):
@@ -160,25 +174,73 @@ def _search_case(draw):
     zeros = draw(st.lists(st.integers(0, n - 1), max_size=n))
     vecs[zeros] = 0.0
     store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
-    queries = rng.normal(size=(draw(st.integers(1, 8)), dim))
+    queries = rng.normal(size=(draw(st.integers(1, 40)), dim))
     # Querying with a stored row scores its exact copies at the very top.
     for q, row in enumerate(draw(st.lists(st.integers(0, n - 1), max_size=len(queries)))):
         if vecs[row].any():
             queries[q] = vecs[row]
-    return store, queries, draw(st.integers(1, n + 3))
+    return store, queries, draw(st.integers(1, n + 3)), draw(st.sampled_from([0, 1, 3, 8]))
+
+
+def _assert_matches_oracle(store, queries, k, got):
+    assert len(got) == len(queries)
+    for hits, query in zip(got, queries):
+        want = _oracle_top_k(store, query, k)
+        assert [n for n, _ in hits] == [n for n, _ in want]
+        assert_allclose([s for _, s in hits], [s for _, s in want], atol=1e-12)
+
+
+def _tile_width_patch(width: int):
+    """Tiles of `width` rows: the budget of TILE_QUERIES query rows by them."""
+    return mock.patch.multiple(retrieval, TILE_ALIGN=width,
+                               SCORE_BLOCK_BYTES=8 * TILE_QUERIES * width)
 
 
 class TestBatchedTopK:
     @settings(max_examples=200, deadline=None)
     @given(_search_case())
     def test_matches_per_row_oracle(self, case):
-        store, queries, k = case
-        got = top_k(ConceptIndex(store), queries, k)
-        assert len(got) == len(queries)
-        for hits, query in zip(got, queries):
-            want = _oracle_top_k(store, query, k)
-            assert [n for n, _ in hits] == [n for n, _ in want]
-            assert_allclose([s for _, s in hits], [s for _, s in want], atol=1e-12)
+        store, queries, k, width = case
+        with _tile_width_patch(width) if width else contextlib.nullcontext():
+            got = top_k(ConceptIndex(store), queries, k)
+        _assert_matches_oracle(store, queries, k, got)
+
+    def test_tiles_merge_like_one_pass(self):
+        rng = np.random.default_rng(21)
+        n, dim = 230, 8
+        vecs = rng.normal(size=(n, dim)).astype(np.float32)
+        # Copy groups whose rows straddle the seams between tiles of 64
+        # distinct rows, and zero rows that shift those seams.
+        for source, copies in ((63, [64, 129]), (0, [127, 200, 229]), (150, [151])):
+            vecs[copies] = vecs[source]
+        vecs[[5, 100]] = 0.0
+        store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
+        queries = rng.normal(size=(100, dim))
+        queries[:4] = vecs[[63, 0, 150, 229]]
+        with _tile_width_patch(TILE_ALIGN):
+            index = ConceptIndex(store)
+            assert index.num_distinct == 222
+            assert index.tile_width == TILE_ALIGN  # four tiles
+            budget = retrieval.SCORE_BLOCK_BYTES
+            assert index.block_rows(1) == budget // (8 * TILE_ALIGN)
+            # Past a tile's worth of kept candidates, blocks shrink to fit them.
+            assert index.block_rows(n) == budget // (8 * 222)
+            for k in (1, 10, TILE_ALIGN + 6, n + 3):
+                _assert_matches_oracle(store, queries, k, top_k(index, queries, k))
+
+    def test_exact_copies_tie_at_kernel_edges(self):
+        # 1,004 rows, not a multiple of the kernels' 8 columns: scored in one
+        # product, the last row's score could move an ulp away from row 0's.
+        rng = np.random.default_rng(0)
+        n, dim = 1004, 32
+        vecs = rng.normal(size=(n, dim)).astype(np.float32)
+        vecs[-1] = vecs[0]
+        store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
+        queries = vecs[0] + 0.05 * rng.normal(size=(26, dim))
+        for hits in top_k(ConceptIndex(store), queries, 3):
+            (first, s0), (second, s1), _ = hits
+            assert (first, second) == ("c0", f"c{n - 1}")
+            assert s0 == s1
 
     def test_tie_across_the_cut_keeps_insertion_order(self):
         vecs = np.array([[0.0, 1.0]] + [[1.0, 0.0]] * 5, dtype=np.float32)
@@ -196,7 +258,7 @@ class TestBatchedTopK:
         whole = top_k(index, queries, 7)
         assert_array_equal(queries, queries_in)  # the block is left as it was
         monkeypatch.setattr("knowfuse.retrieval.SCORE_BLOCK_BYTES", 8 * 40 * 5)
-        assert index.block_rows == 5
+        assert index.block_rows(7) == 5
         # Block shapes may change the last bits of a score, never the order.
         for got in (top_k(index, queries, 7), [top_k(index, q, 7) for q in queries]):
             for a, b in zip(got, whole, strict=True):
