@@ -265,10 +265,9 @@ def cmd_congruence(args) -> None:
         concept_map = stores.read_concept_map(args.pairs)
         knowledge = []
         for name in text_store.names:
-            if name not in concept_map:
+            if not concept_map.get(name):  # absent, or listed with no names
                 raise ValueError(f"no concept names for pair {name!r} in {args.pairs}")
-            rows = [concept_store.row(c) for c in concept_map[name]]
-            knowledge.append(np.stack(rows))
+            knowledge.append(np.stack([concept_store.row(c) for c in concept_map[name]]))
     pairs = cong.ModalityPairSet(
         text_vecs=text_store.vectors,
         image_vecs=image_store.vectors,

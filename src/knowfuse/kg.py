@@ -1,13 +1,14 @@
 """Knowledge-graph triple store.
 
-Loads (head, relation, tail) triples from plain TSV or from ConceptNet-style
-CSV dumps, builds dense integer vocabularies in first-appearance order, and
-provides the filtered entity corruption used for negative sampling.
+Loads (head, relation, tail) triples from plain TSV or ConceptNet-style CSV
+dumps, with first-appearance vocabularies, into one int64 [n, 3] array of
+distinct ids in file order; `known_set` and membership derive from it.
+`corrupt` draws filtered negatives for [B, 3] id arrays.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -67,12 +68,12 @@ class Vocab:
 
 @dataclass
 class KnowledgeGraph:
-    """Parsed triples plus vocabularies and a membership set for filtering."""
+    """Distinct triples as one int64 [n, 3] id array, in file order, plus the
+    vocabularies their ids index."""
 
-    triples: list[Triple]
+    triples: np.ndarray
     entity_vocab: Vocab
     relation_vocab: Vocab
-    known_set: frozenset[tuple[int, int, int]] = field(default_factory=frozenset)
     duplicates_dropped: int = 0
 
     @property
@@ -83,14 +84,10 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relation_vocab)
 
-    def with_triples(self, triples: list[Triple]) -> "KnowledgeGraph":
-        """A graph over the same vocabularies but a different triple list."""
-        return KnowledgeGraph(
-            triples=list(triples),
-            entity_vocab=self.entity_vocab,
-            relation_vocab=self.relation_vocab,
-            known_set=frozenset(t.as_tuple() for t in triples),
-        )
+    @property
+    def known_set(self) -> frozenset[tuple[int, int, int]]:
+        """The triples as id tuples, built from the array on every read."""
+        return frozenset(map(tuple, self.triples.tolist()))
 
     def triple_keys(self, ids) -> np.ndarray:
         """int64 key (head * R + relation) * N + tail of each row of an [n, 3]
@@ -103,8 +100,8 @@ class KnowledgeGraph:
 
     @cached_property
     def known_keys(self) -> np.ndarray:
-        """Sorted keys of known_set."""
-        return np.sort(self.triple_keys(list(self.known_set)))
+        """Sorted keys of the triples."""
+        return np.sort(self.triple_keys(self.triples))
 
     def is_known(self, ids) -> np.ndarray:
         """Whether each row of an [n, 3] id array is a known triple."""
@@ -164,9 +161,8 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
     path = Path(path)
     entity_vocab = Vocab()
     relation_vocab = Vocab()
-    triples: list[Triple] = []
-    seen: set[tuple[int, int, int]] = set()
-    duplicates = 0
+    rows: dict[tuple[int, int, int], None] = {}  # insertion-ordered distinct rows
+    parsed = 0
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -174,63 +170,47 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             h, r, t = _parse_row(line, fmt, lineno)
-            triple = Triple(
-                head=entity_vocab.add(h),
-                relation=relation_vocab.add(r),
-                tail=entity_vocab.add(t),
-            )
-            key = triple.as_tuple()
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            triples.append(triple)
+            rows[entity_vocab.add(h), relation_vocab.add(r), entity_vocab.add(t)] = None
+            parsed += 1
 
-    if not triples:
+    if not rows:
         raise TripleLoadError(f"no triples found in {path}")
+    duplicates = parsed - len(rows)
     if duplicates:
         log.info("dropped %d duplicate rows while loading %s", duplicates, path)
 
     return KnowledgeGraph(
-        triples=triples,
+        triples=np.array(list(rows), dtype=np.int64),
         entity_vocab=entity_vocab,
         relation_vocab=relation_vocab,
-        known_set=frozenset(seen),
         duplicates_dropped=duplicates,
     )
 
 
 def corrupt(
-    triple: Triple,
-    side: str,
+    triples: np.ndarray,
+    sides: np.ndarray,
     rng: np.random.Generator,
     kg: KnowledgeGraph,
     max_attempts: int = 100,
-) -> Triple:
-    """Corrupt one side of a triple into a filtered negative.
+) -> np.ndarray:
+    """Corrupt one side of each row of an [B, 3] id array into a filtered
+    negative; `sides` holds the B sides, 'head' or 'tail'.
 
-    Resamples an entity uniformly until the result differs from the input on
-    the chosen side and is not a known true triple. When max_attempts uniform
-    draws all fail, as they can for a hub entity in a dense graph, one draw
-    from the explicit list of filtered candidates decides. Raises
-    CorruptionError only when no candidate exists.
-
-    `triple` may also be an [B, 3] id array, with `side` an array of B sides:
-    each round draws for every row still rejected, and the B negatives come
-    back as an array. For B = 1 the draws are those of the single form.
+    Each round resamples an entity uniformly for every row still rejected: a
+    draw is rejected when it equals the row's original entity or makes a
+    known true triple. When max_attempts rounds all fail for a row, as they
+    can for a hub entity in a dense graph, one draw from the explicit list of
+    its filtered candidates decides. Returns the B negatives as an array;
+    raises CorruptionError, naming the triple, only when no candidate exists.
     """
-    if isinstance(triple, Triple):
-        if side not in (HEAD, TAIL):
-            raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-        row = corrupt(np.array([triple.as_tuple()]), np.array([side]), rng, kg, max_attempts)
-        return Triple(*row[0].tolist())
     n = kg.num_entities
     if n < 2:
         raise ValueError("corruption needs at least 2 entities")
-    sides = np.asarray(side)
+    sides = np.asarray(sides)
     if not ((sides == HEAD) | (sides == TAIL)).all():
         raise ValueError("every side must be 'head' or 'tail'")
-    ids = np.asarray(triple, dtype=np.int64)
+    ids = np.asarray(triples, dtype=np.int64)
     out, col, todo = ids.copy(), np.where(sides == HEAD, 0, 2), np.arange(len(ids))
     original = ids[todo, col]
     for _ in range(max_attempts):
@@ -260,8 +240,7 @@ def holdout_split(
     The training graph keeps the remaining triples in their original order.
     """
     check_value("heldout", count, int, min=1, max=len(kg.triples) - 1)
-    rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(len(kg.triples), size=count, replace=False).tolist())
-    heldout = [t for i, t in enumerate(kg.triples) if i in chosen]
-    remaining = [t for i, t in enumerate(kg.triples) if i not in chosen]
-    return kg.with_triples(remaining), heldout
+    chosen = np.zeros(len(kg.triples), dtype=bool)
+    chosen[np.random.default_rng(seed).choice(len(kg.triples), size=count, replace=False)] = True
+    heldout = [Triple(*row) for row in kg.triples[chosen].tolist()]
+    return replace(kg, triples=kg.triples[~chosen]), heldout

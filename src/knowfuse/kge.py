@@ -203,10 +203,10 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
     """
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, kg.num_entities, kg.num_relations)
-    ids = np.array([t.as_tuple() for t in kg.triples], dtype=np.int64).reshape(-1, 3)
     lr, trace = cfg.learning_rate, []
     for epoch in range(1, cfg.epochs + 1):
-        pairs = np.repeat(ids[rng.permutation(len(ids))], cfg.negatives_per_positive, axis=0)
+        order = rng.permutation(len(kg.triples))
+        pairs = np.repeat(kg.triples[order], cfg.negatives_per_positive, axis=0)
         total = 0.0
         for batch, start in enumerate(range(0, len(pairs), BATCH_SIZE), start=1):
             pos = pairs[start : start + BATCH_SIZE]

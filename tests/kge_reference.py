@@ -160,6 +160,7 @@ def corrupt(
     if side not in (HEAD, TAIL):
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
 
+    known = kg.known_set
     original = triple.head if side == HEAD else triple.tail
     for _ in range(max_attempts):
         candidate = int(rng.integers(0, n))
@@ -169,7 +170,7 @@ def corrupt(
             key = (candidate, triple.relation, triple.tail)
         else:
             key = (triple.head, triple.relation, candidate)
-        if key in kg.known_set:
+        if key in known:
             continue
         return Triple(*key)
 
@@ -178,7 +179,7 @@ def corrupt(
             return Triple(e, triple.relation, triple.tail)
         return Triple(triple.head, triple.relation, e)
 
-    free = [e for e in range(n) if e != original and corrupted(e).as_tuple() not in kg.known_set]
+    free = [e for e in range(n) if e != original and corrupted(e).as_tuple() not in known]
     if not free:
         raise CorruptionError(
             f"no filtered corruption exists for {triple} on {side}: "
@@ -205,7 +206,7 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
         total = 0.0
         pairs = 0
         for idx in order:
-            pos = kg.triples[idx]
+            pos = Triple(*kg.triples[idx].tolist())
             for _ in range(cfg.negatives_per_positive):
                 side = HEAD if rng.random() < 0.5 else TAIL
                 neg = corrupt(pos, side, rng, kg)

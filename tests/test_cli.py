@@ -633,6 +633,22 @@ class TestCongruence:
         assert main(argv) == 1
         assert "line 9: duplicate id 'pair3'" in capsys.readouterr().err
 
+    def test_pair_with_empty_concept_names_is_named(self, modality_files, tmp_path, capsys):
+        pairs = modality_files["pairs"]
+        lines = pairs.read_text().splitlines()
+        lines[5] = json.dumps({"id": "pair5", "concept_names": []})
+        pairs.write_text("\n".join(lines) + "\n")
+        argv = [
+            "congruence", "--text-store", str(modality_files["text"]),
+            "--image-store", str(modality_files["image"]),
+            "--concept-store", str(modality_files["concepts"]),
+            "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'pair5'" in err[0] and str(pairs) in err[0]
+
     def test_pairs_without_concepts_exits_one(self, modality_files, tmp_path):
         argv = [
             "congruence", "--text-store", str(modality_files["text"]),

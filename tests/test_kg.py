@@ -1,15 +1,18 @@
 """Triple loading, vocab construction, corruption, and holdout splitting."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knowfuse import kge
 from knowfuse.errors import CorruptionError, TripleLoadError
 from knowfuse.kg import (
     HEAD,
     TAIL,
-    Triple,
     corrupt,
     holdout_split,
     load_triples,
@@ -28,8 +31,8 @@ class TestLoadTriples:
         kg = load_triples(path)
         assert kg.entity_vocab.labels == ["dog", "animal", "cat", "thing"]
         assert kg.relation_vocab.labels == ["isa"]
-        assert kg.triples[0] == Triple(0, 0, 1)
-        assert kg.triples[2] == Triple(1, 0, 3)
+        assert kg.triples.dtype == np.int64 and kg.triples.flags.c_contiguous
+        assert np.array_equal(kg.triples, [[0, 0, 1], [2, 0, 1], [1, 0, 3]])
 
     def test_duplicates_dropped_and_counted(self, tmp_path):
         rows = [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")]
@@ -77,7 +80,7 @@ class TestLoadTriples:
         kg = load_triples(path, fmt="conceptnet-csv")
         assert kg.entity_vocab.labels == ["dog", "animal", "cat"]
         assert kg.relation_vocab.labels == ["RelatedTo", "IsA"]
-        assert kg.triples[0] == Triple(0, 0, 1)
+        assert np.array_equal(kg.triples, [[0, 0, 1], [2, 1, 1]])
 
     def test_conceptnet_part_of_speech_suffix_keeps_term(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -108,40 +111,42 @@ class TestToyGraphShape:
 
 class TestCorrupt:
     def test_head_corruption_filtered(self, toy_graph):
-        rng = np.random.default_rng(0)
-        for t in toy_graph.triples:
-            neg = corrupt(t, HEAD, rng, toy_graph)
-            assert neg.head != t.head
-            assert neg.relation == t.relation and neg.tail == t.tail
-            assert neg.as_tuple() not in toy_graph.known_set
+        ids = toy_graph.triples
+        neg = corrupt(ids, np.full(len(ids), HEAD), np.random.default_rng(0), toy_graph)
+        assert (neg[:, 0] != ids[:, 0]).all()
+        assert np.array_equal(neg[:, 1:], ids[:, 1:])
+        assert not set(map(tuple, neg.tolist())) & toy_graph.known_set
 
     def test_tail_corruption_filtered(self, toy_graph):
-        rng = np.random.default_rng(1)
-        for t in toy_graph.triples:
-            neg = corrupt(t, TAIL, rng, toy_graph)
-            assert neg.tail != t.tail
-            assert neg.head == t.head and neg.relation == t.relation
-            assert neg.as_tuple() not in toy_graph.known_set
+        ids = toy_graph.triples
+        neg = corrupt(ids, np.full(len(ids), TAIL), np.random.default_rng(1), toy_graph)
+        assert (neg[:, 2] != ids[:, 2]).all()
+        assert np.array_equal(neg[:, :2], ids[:, :2])
+        assert not set(map(tuple, neg.tolist())) & toy_graph.known_set
 
     def test_deterministic_under_seed(self, toy_graph):
-        a = corrupt(toy_graph.triples[0], TAIL, np.random.default_rng(7), toy_graph)
-        b = corrupt(toy_graph.triples[0], TAIL, np.random.default_rng(7), toy_graph)
-        assert a == b
+        ids = toy_graph.triples
+        sides = np.where(np.arange(len(ids)) % 3, TAIL, HEAD)
+        a = corrupt(ids, sides, np.random.default_rng(7), toy_graph)
+        b = corrupt(ids, sides, np.random.default_rng(7), toy_graph)
+        assert np.array_equal(a, b)
 
     def test_invalid_side(self, toy_graph):
+        # one bad side among good ones rejects the whole batch
         with pytest.raises(ValueError, match="side"):
-            corrupt(toy_graph.triples[0], "left", np.random.default_rng(0), toy_graph)
+            corrupt(toy_graph.triples[:2], np.array([HEAD, "left"]),
+                    np.random.default_rng(0), toy_graph)
 
     def test_explicit_complement_after_failed_draws(self, toy_graph):
-        # with no uniform draws the fallback alone picks the negative
-        t = toy_graph.triples[0]
+        # with no uniform draws the fallback alone picks each row's negative
+        rows = np.repeat(toy_graph.triples[:1], 200, axis=0)
         for side in (HEAD, TAIL):
-            rng = np.random.default_rng(3)
-            negs = {corrupt(t, side, rng, toy_graph, max_attempts=0) for _ in range(200)}
-            assert all(n.as_tuple() not in toy_graph.known_set for n in negs)
-            assert len(negs) > 1
-            again = corrupt(t, side, np.random.default_rng(3), toy_graph, max_attempts=0)
-            assert again == corrupt(t, side, np.random.default_rng(3), toy_graph, max_attempts=0)
+            sides = np.full(len(rows), side)
+            negs = corrupt(rows, sides, np.random.default_rng(3), toy_graph, max_attempts=0)
+            assert not set(map(tuple, negs.tolist())) & toy_graph.known_set
+            assert len(np.unique(negs, axis=0)) > 1
+            again = corrupt(rows, sides, np.random.default_rng(3), toy_graph, max_attempts=0)
+            assert np.array_equal(again, negs)
 
     def test_dense_hub_trains(self, tmp_path, monkeypatch):
         # 200 of the 211 entities are tails of (hub, r): a uniform draw finds
@@ -170,8 +175,8 @@ class TestCorrupt:
         # every (h, r, t) combination is a known edge, so no negative exists
         rows = [(h, "r", t) for h in ("a", "b") for t in ("a", "b")]
         kg = load_triples(write_tsv(rows, tmp_path / "t.tsv"))
-        with pytest.raises(CorruptionError):
-            corrupt(kg.triples[0], TAIL, np.random.default_rng(0), kg)
+        with pytest.raises(CorruptionError, match=r"for Triple\(head=0, relation=0, tail=0\)"):
+            corrupt(kg.triples[:1], np.array([TAIL]), np.random.default_rng(0), kg)
 
 
 class TestHoldoutSplit:
@@ -179,28 +184,80 @@ class TestHoldoutSplit:
         train, heldout = holdout_split(toy_graph, 10, seed=7)
         assert len(heldout) == 10
         assert len(train.triples) == 50
-        got = {t.as_tuple() for t in train.triples} | {t.as_tuple() for t in heldout}
-        assert got == toy_graph.known_set
-        assert not {t.as_tuple() for t in train.triples} & {
-            t.as_tuple() for t in heldout
-        }
+        held = {t.as_tuple() for t in heldout}
+        assert train.known_set | held == toy_graph.known_set
+        assert not train.known_set & held
 
     def test_vocab_preserved_and_known_set_rebuilt(self, toy_graph):
+        toy_graph.known_keys  # a parent's cached keys must not reach the split
         train, heldout = holdout_split(toy_graph, 10, seed=7)
         assert train.entity_vocab == toy_graph.entity_vocab
         assert train.relation_vocab == toy_graph.relation_vocab
-        assert train.known_set == {t.as_tuple() for t in train.triples}
-        for t in heldout:
-            assert t.as_tuple() not in train.known_set
+        held = np.array([t.as_tuple() for t in heldout])
+        assert toy_graph.is_known(held).all()
+        assert not train.is_known(held).any() and train.is_known(train.triples).all()
+        assert len(train.known_keys) == 50
 
     def test_deterministic(self, toy_graph):
         a = holdout_split(toy_graph, 10, seed=3)
         b = holdout_split(toy_graph, 10, seed=3)
         assert a[1] == b[1]
-        assert a[0].triples == b[0].triples
+        assert np.array_equal(a[0].triples, b[0].triples)
 
     def test_count_bounds(self, toy_graph):
         with pytest.raises(ValueError):
             holdout_split(toy_graph, 0, seed=0)
         with pytest.raises(ValueError):
             holdout_split(toy_graph, 60, seed=0)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("reader")
+
+
+ROWS = st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from(["r", "s"]),
+                          st.sampled_from("abcde")), min_size=1, max_size=25)
+NOISE = st.lists(st.sampled_from(["", "   ", "# note", "  # indented note"]), max_size=4)
+
+
+class TestReaderProperty:
+    """load_triples and holdout_split against a naive list-of-tuples reading."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=ROWS, noise=st.lists(NOISE, min_size=26, max_size=26),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(rows=[("a", "r", "b")], noise=[[]] * 26, seed=0, data=None)
+    def test_matches_naive_reading(self, workdir, rows, noise, seed, data):
+        lines = []
+        for row, extra in zip(rows, noise):
+            lines += extra + ["\t".join(row)]
+        path = workdir / "t.tsv"
+        path.write_text("\n".join(lines + noise[-1]) + "\n")
+        kg = load_triples(path)
+
+        ents, rels, distinct = [], [], []
+        for h, r, t in rows:
+            for vocab, label in ((ents, h), (rels, r), (ents, t)):
+                if label not in vocab:
+                    vocab.append(label)
+            ids = (ents.index(h), rels.index(r), ents.index(t))
+            if ids not in distinct:
+                distinct.append(ids)
+        assert kg.entity_vocab.labels == ents and kg.relation_vocab.labels == rels
+        assert kg.triples.dtype == np.int64 and kg.triples.shape == (len(distinct), 3)
+        assert kg.triples.tolist() == [list(ids) for ids in distinct]
+        assert kg.duplicates_dropped == len(rows) - len(distinct)
+        assert kg.known_set == set(distinct)
+
+        if len(distinct) < 2:
+            return
+        count = data.draw(st.integers(1, len(distinct) - 1))
+        train, heldout = holdout_split(kg, count, seed)
+        # the selection of a set of drawn positions, kept in file order
+        chosen = set(np.random.default_rng(seed).choice(len(distinct), size=count,
+                                                        replace=False).tolist())
+        assert [t.as_tuple() for t in heldout] == [d for i, d in enumerate(distinct)
+                                                   if i in chosen]
+        assert train.triples.tolist() == [list(d) for i, d in enumerate(distinct)
+                                          if i not in chosen]

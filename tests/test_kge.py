@@ -326,7 +326,7 @@ def _naive_link_eval(model, kg, heldout, ks):
     """Rank oracle: per-candidate scalar scoring with the same filter; a tie
     with the true entity counts half, its expected share under random
     tie-breaking."""
-    known = {t.as_tuple() for t in kg.triples} | {t.as_tuple() for t in heldout}
+    known = kg.known_set | {t.as_tuple() for t in heldout}
     ranks = []
     for t in heldout:
         for side in ("tail", "head"):

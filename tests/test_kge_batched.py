@@ -36,9 +36,8 @@ def _graph(triples, n_ent: int, n_rel: int) -> KnowledgeGraph:
         ents.add(f"e{i}")
     for i in range(n_rel):
         rels.add(f"r{i}")
-    triples = [Triple(*map(int, t)) for t in triples]
-    return KnowledgeGraph(triples=triples, entity_vocab=ents, relation_vocab=rels,
-                          known_set=frozenset(t.as_tuple() for t in triples))
+    return KnowledgeGraph(triples=np.array(triples, dtype=np.int64).reshape(-1, 3),
+                          entity_vocab=ents, relation_vocab=rels)
 
 
 @st.composite
@@ -148,7 +147,7 @@ class TestBatchedCorrupt:
     @settings(max_examples=60, deadline=None)
     @given(graph=random_graphs(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_never_returns_original_or_known(self, graph, seed, data):
-        ids = np.array([t.as_tuple() for t in graph.triples])
+        ids = graph.triples
         sides = np.array(data.draw(st.lists(st.sampled_from([HEAD, TAIL]),
                                             min_size=len(ids), max_size=len(ids))))
         attempts = data.draw(st.sampled_from([0, 1, 100]))
@@ -170,12 +169,12 @@ class TestBatchedCorrupt:
            attempts=st.sampled_from([0, 1, 3, 100]))
     def test_one_row_matches_single_triple_draws(self, graph, seed, attempts):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for t in graph.triples:
+        for ids in graph.triples:
             side = HEAD if a.random() < 0.5 else TAIL
             b.random(1)
-            row, sides = np.array([t.as_tuple()]), np.array([side])
+            row, sides = ids[None], np.array([side])
             try:
-                want = ref.corrupt(t, side, a, graph, attempts)
+                want = ref.corrupt(Triple(*ids.tolist()), side, a, graph, attempts)
             except CorruptionError:
                 with pytest.raises(CorruptionError):
                     corrupt(row, sides, b, graph, attempts)
@@ -185,16 +184,16 @@ class TestBatchedCorrupt:
         assert a.random() == b.random()
 
     def test_rejects_bad_side(self, toy_graph):
-        ids = np.array([toy_graph.triples[0].as_tuple()])
         with pytest.raises(ValueError, match="side"):
-            corrupt(ids, np.array(["left"]), np.random.default_rng(0), toy_graph)
+            corrupt(toy_graph.triples[:1], np.array(["left"]), np.random.default_rng(0), toy_graph)
 
     def test_key_overflow_guarded(self):
         class Huge(Vocab):
             def __len__(self):
                 return 2**32
 
-        graph = KnowledgeGraph(triples=[], entity_vocab=Huge(), relation_vocab=Huge())
+        graph = KnowledgeGraph(triples=np.empty((0, 3), dtype=np.int64), entity_vocab=Huge(),
+                               relation_vocab=Huge())
         with pytest.raises(ValueError, match="overflow"):
             graph.triple_keys([(0, 0, 1)])
 
