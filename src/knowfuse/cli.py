@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -200,15 +200,8 @@ def cmd_train_fusion(args) -> None:
 
     fusion.save_checkpoint(result.net, args.out / "fusion.ckpt")
     if result.concept_vectors is not None:
-        stores.write_store(
-            stores.EmbeddingStore(
-                dim=concept_store.dim,
-                names=concept_store.names,
-                vectors=result.concept_vectors.astype(np.float32),
-                kind_tag=concept_store.kind_tag,
-            ),
-            args.out / "concepts_tuned.emb",
-        )
+        stores.write_store(replace(concept_store, vectors=result.concept_vectors),
+                           args.out / "concepts_tuned.emb")
 
     columns = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
     stores.write_csv(columns, ([row["epoch"], *(repr(row[c]) for c in columns[1:])]

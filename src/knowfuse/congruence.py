@@ -21,7 +21,7 @@ class ModalityPairSet:
     """Row i of text_vecs pairs with row i of image_vecs.
 
     knowledge_vecs, when present, holds one [k_i, d] matrix per pair with
-    the knowledge vectors retrieved for that pair.
+    the knowledge vectors retrieved for that pair; any other shape is rejected.
     """
 
     text_vecs: np.ndarray
@@ -42,17 +42,18 @@ class ModalityPairSet:
         n, d = self.text_vecs.shape
         if n < 1:
             raise ValueError("need at least one pair")
-        if self.knowledge_vecs is not None:
-            if len(self.knowledge_vecs) != n:
-                raise ValueError("one knowledge matrix per pair required")
-            self.knowledge_vecs = [
-                np.asarray(m, dtype=np.float64).reshape(-1, d)
-                for m in self.knowledge_vecs
-            ]
         if self.ids is None:
             self.ids = [str(i) for i in range(n)]
         elif len(self.ids) != n:
             raise ValueError("one id per pair required")
+        if self.knowledge_vecs is not None:
+            if len(self.knowledge_vecs) != n:
+                raise ValueError("one knowledge matrix per pair required")
+            self.knowledge_vecs = [np.asarray(m, dtype=np.float64) for m in self.knowledge_vecs]
+            for pair, m in zip(self.ids, self.knowledge_vecs):
+                if m.ndim != 2 or m.shape[1] != d:
+                    raise ValueError(f"pair {pair!r}: knowledge matrix {m.shape} is not [k, {d}] "
+                                     f"for modality vectors {self.text_vecs.shape}")
 
     @property
     def n(self) -> int:

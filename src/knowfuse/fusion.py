@@ -360,16 +360,13 @@ def _gather(records: list[CampaignRecord], idx: np.ndarray):
 
 
 def _batch_plan(ks: np.ndarray, order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Chunk a shuffled index order into batches of records sharing n_k."""
-    groups: dict[int, list[int]] = {}
-    for i in order:
-        groups.setdefault(int(ks[i]), []).append(int(i))
-    batches = []
-    for k in sorted(groups):
-        idx = groups[k]
-        for start in range(0, len(idx), batch_size):
-            batches.append(np.asarray(idx[start : start + batch_size]))
-    return batches
+    """Chunk a shuffled index order into batches of records sharing n_k:
+    groups by ascending n_k, each in the given order, cut every batch_size rows."""
+    order = order[np.argsort(ks[order], kind="stable")]
+    k = ks[order]
+    # k is sorted, so searchsorted(k, k) is each row's group start.
+    starts = np.flatnonzero((np.arange(len(k)) - np.searchsorted(k, k)) % batch_size == 0)
+    return np.split(order, starts[1:]) if len(order) else []
 
 
 def _fold_knowledge(net: FusionNet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,13 +413,15 @@ def _eval_net(
     return labels, preds, p1
 
 
-def _resolve_ids(records: list[CampaignRecord], n_concepts: int, cfg: FusionConfig) -> None:
+def _resolve_ids(records: list[CampaignRecord], store: EmbeddingStore, cfg: FusionConfig) -> None:
+    if cfg.use_knowledge and store.dim != cfg.knowledge_dim:
+        raise ValueError(f"concept store dim {store.dim} != the net's knowledge_dim {cfg.knowledge_dim}")
     for r in records:
         if cfg.use_knowledge and not r.concept_ids:
             raise ValueError(f"record {r.id}: no concepts, but the net attends over knowledge")
         for c in r.concept_ids:
-            if not 0 <= c < n_concepts:
-                raise ValueError(f"record {r.id}: concept id {c} outside store of {n_concepts}")
+            if not 0 <= c < store.n:
+                raise ValueError(f"record {r.id}: concept id {c} outside store of {store.n}")
 
 
 def train_classifier(
@@ -457,23 +456,27 @@ def train_classifier(
 
     # Trained concepts need a float64 copy; forward converts gathered rows exactly.
     concepts = concept_store.vectors.astype(np.float64) if cfg.train_concepts else concept_store.vectors
-    _resolve_ids(records, concept_store.n, cfg)
-    _resolve_ids(val_records, concept_store.n, cfg)
+    _resolve_ids(records, concept_store, cfg)
+    _resolve_ids(val_records, concept_store, cfg)
 
     ks = np.array([len(r.concept_ids) for r in records])
     n_batches = len(_batch_plan(ks, np.arange(len(records)), cfg.batch_size))
     total_steps = cfg.epochs * n_batches
     warmup_steps = int(round(cfg.warmup_fraction * total_steps))
 
-    adam = _Adam(net.flat)
-    grad_flat = np.zeros_like(net.flat)
-    # Concept training steps only the rows the training records use, held in
-    # concept_adam.param: every other row keeps zero gradient and moments, so
-    # a step over the whole matrix would leave it bit-identical.
-    concept_adam = None
-    if cfg.train_concepts and cfg.use_knowledge:
+    # The training state is net.flat, followed with concept training by the
+    # rows the training records use: every other row keeps zero gradient and
+    # moments, so a step over the whole matrix would leave it bit-identical.
+    tuned = cfg.train_concepts and cfg.use_knowledge
+    n = len(net.flat)
+    state, rows = net.flat, concepts
+    if tuned:
         used = np.unique(np.concatenate([r.concept_ids for r in records]))
-        concept_adam = _Adam(concepts[used])
+        state = np.concatenate([net.flat, concepts[used].ravel()])
+        net = FusionNet.from_flat(cfg, state[:n])
+        rows = state[n:].reshape(len(used), cfg.knowledge_dim)
+    adam = _Adam(state)
+    grad = np.zeros_like(state)
 
     def split_eval():  # (labels, predictions, p1) of each split, as evaluate_records gives them
         return {"train": _eval_net(net, records, concepts),
@@ -481,8 +484,7 @@ def train_classifier(
 
     history: list[dict] = []
     best_val = -1.0
-    best_flat = net.flat.copy()
-    best_used = None if concept_adam is None else concept_adam.param.copy()
+    best = state.copy()
     evaluation = None
     stale = 0
     step = 0
@@ -495,25 +497,20 @@ def train_classifier(
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
             x, ids, batch_labels = _gather(records, idx)
-            if concept_adam is None:
-                kg = concepts[ids]
-            else:
+            if tuned:
                 ids = np.searchsorted(used, ids)
-                kg = concept_adam.param[ids]
-            logits, trace = forward(net, x, kg)
+            logits, trace = forward(net, x, rows[ids])
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(f"fusion: non-finite loss in epoch {epoch + 1}, "
                                             f"batch {batch}")
-            _, d_kg = backward(net, trace, batch_labels, out=grad_flat,
-                               kg_grad=concept_adam is not None)
-            adam.step(grad_flat, lr)
-            if concept_adam is not None:
-                gc = np.zeros_like(concept_adam.param)
-                np.add.at(gc, ids, d_kg)
-                concept_adam.step(gc, lr)
-        if concept_adam is not None:
-            concepts[used] = concept_adam.param
+            _, d_kg = backward(net, trace, batch_labels, out=grad[:n], kg_grad=tuned)
+            if tuned:
+                grad[n:] = 0.0
+                np.add.at(grad[n:].reshape(rows.shape), ids, d_kg)
+            adam.step(grad, lr)
+        if tuned:
+            concepts[used] = rows
 
         epoch_eval = split_eval()
         train_acc, val_acc = (float(np.mean(labels == preds))
@@ -522,9 +519,7 @@ def train_classifier(
                         "train_acc": train_acc, "val_acc": val_acc})
         if val_acc > best_val:
             best_val = val_acc
-            best_flat[...] = net.flat
-            if concept_adam is not None:
-                best_used[...] = concept_adam.param
+            best[...] = state
             evaluation = epoch_eval
             stale = 0
         else:
@@ -532,9 +527,9 @@ def train_classifier(
             if stale >= cfg.early_stop_patience:
                 break
 
-    net.flat[...] = best_flat
-    if concept_adam is not None:
-        concepts[used] = best_used
+    state[...] = best
+    if tuned:
+        concepts[used] = rows
     if evaluation is None:  # no epoch ran
         evaluation = split_eval()
     return TrainResult(net=net, history=history, evaluation=evaluation,
@@ -545,7 +540,7 @@ def predict(
     net: FusionNet, record: CampaignRecord, concept_store: EmbeddingStore
 ) -> tuple[int, tuple[float, float]]:
     """Label and class probabilities for one record; ties go to label 0."""
-    _resolve_ids([record], concept_store.n, net.cfg)
+    _resolve_ids([record], concept_store, net.cfg)
     kg = concept_store.vectors[record.concept_ids]
     logits, _ = forward(net, record.multimodal_vec[None], kg[None])
     probs = _softmax(logits[0])
@@ -564,7 +559,7 @@ def evaluate_records(
     """
     if not records:
         raise ValueError("no records to evaluate")
-    _resolve_ids(records, concept_store.n, net.cfg)
+    _resolve_ids(records, concept_store, net.cfg)
     if concept_vectors is None:
         concept_vectors = concept_store.vectors
     return _eval_net(net, records, concept_vectors)

@@ -25,13 +25,10 @@ from .stores import EmbeddingStore
 SCORE_BLOCK_BYTES = 4 << 20
 # Query rows a full-width tile holds. Scoring 26 queries against a whole
 # 20,000-row store also fits the budget, but a product that short runs at
-# half the speed of one this tall.
+# half the speed of one this tall. The tile width, 2,048 rows, is a multiple
+# of 8: with OpenBLAS's Haswell kernels such tiles gave the bits of one whole
+# product, and 500-row tiles did not.
 TILE_QUERIES = 256
-# Every tile but the last spans a whole multiple of this many rows. With
-# OpenBLAS's Haswell kernels, tiles of any multiple of 8 rows gave the same
-# bits as one whole product, and 500 rows did not; 64 leaves room for wider
-# kernels.
-TILE_ALIGN = 64
 
 
 class ConceptIndex:
@@ -79,10 +76,9 @@ class ConceptIndex:
 
     @property
     def tile_width(self) -> int:
-        """Distinct rows per search tile: a multiple of TILE_ALIGN that lets
-        TILE_QUERIES query rows fit SCORE_BLOCK_BYTES, or all of them."""
-        width = SCORE_BLOCK_BYTES // (8 * TILE_QUERIES) // TILE_ALIGN * TILE_ALIGN
-        return max(1, min(max(width, TILE_ALIGN), self.num_distinct))
+        """Distinct rows per search tile: as many as let TILE_QUERIES query
+        rows fit SCORE_BLOCK_BYTES, or all of them."""
+        return max(1, min(SCORE_BLOCK_BYTES // (8 * TILE_QUERIES), self.num_distinct))
 
     def block_rows(self, k: int) -> int:
         """Query rows per search block: as many as keep one tile of their

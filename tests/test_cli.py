@@ -477,6 +477,33 @@ class TestTrainFusionAndPredict:
         best_val = max(float(row.split(",")[4]) for row in rows)
         assert metrics["val"]["accuracy"] == best_val
 
+    def test_train_concepts_without_knowledge_changes_no_output(self, data, tmp_path):
+        # The ablation net reads no concept row, so the tuned store is the input store.
+        plain, tuned = tmp_path / "plain", tmp_path / "tuned"
+        assert main(_fusion_args(data, plain, "--no-knowledge")) == 0
+        assert main(_fusion_args(data, tuned, "--no-knowledge", "--train-concepts")) == 0
+        assert (tuned / "concepts_tuned.emb").read_bytes() == (data / "concepts.emb").read_bytes()
+        assert {p.name for p in tuned.iterdir()} == {p.name for p in plain.iterdir()} | {
+            "concepts_tuned.emb"}
+        for name in ("fusion.ckpt", "history.csv", "metrics.json"):
+            assert (tuned / name).read_bytes() == (plain / name).read_bytes(), name
+
+    def test_predict_against_concepts_of_another_dim_names_both(self, data, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(_fusion_args(data, model)) == 0
+        store = read_store(data / "concepts.emb")
+        wide = tmp_path / "wide.emb"
+        write_store(EmbeddingStore(dim=16, names=store.names, vectors=np.tile(store.vectors, 2)),
+                    wide)
+        capsys.readouterr()
+        assert main([
+            "predict", "--checkpoint", str(model / "fusion.ckpt"),
+            "--records", str(data / "records.jsonl"), "--mm-store", str(data / "multimodal.emb"),
+            "--concept-store", str(wide), "--out", str(tmp_path / "pred"),
+        ]) == 1
+        assert capsys.readouterr().err == "error: concept store dim 16 != the net's knowledge_dim 8\n"
+        assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+
     def test_predict_round_trip(self, data, tmp_path):
         model = tmp_path / "model"
         assert main(_fusion_args(data, model)) == 0
@@ -648,6 +675,23 @@ class TestCongruence:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'pair5'" in err[0] and str(pairs) in err[0]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_concepts_of_another_dim_are_named(self, modality_files, tmp_path, capsys, dim):
+        # Two 3-d concepts per pair fill one 6-d row once reshaped; two 4-d ones fill none.
+        concepts = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(5)],
+                                  vectors=np.ones((5, dim), dtype=np.float32))
+        write_store(concepts, modality_files["concepts"])
+        out = tmp_path / "out"
+        assert main([
+            "congruence", "--text-store", str(modality_files["text"]),
+            "--image-store", str(modality_files["image"]),
+            "--concept-store", str(modality_files["concepts"]),
+            "--pairs", str(modality_files["pairs"]), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == (f"error: pair 'pair0': knowledge matrix (2, {dim}) "
+                                           "is not [k, 6] for modality vectors (8, 6)\n")
+        assert not (out / "congruence.json").exists()
 
     def test_pairs_without_concepts_exits_one(self, modality_files, tmp_path):
         argv = [

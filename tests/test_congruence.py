@@ -113,6 +113,17 @@ class TestAugmentWithKnowledge:
         with pytest.raises(ValueError, match="augmented"):
             augment_with_knowledge(pairs)
 
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 7), (12,)])
+    def test_knowledge_of_another_width_is_named(self, shape):
+        # 3 concepts of 8 values are 24 values: two rows of 12 once reshaped.
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError) as err:
+            ModalityPairSet(text_vecs=rng.normal(size=(2, 12)), image_vecs=rng.normal(size=(2, 12)),
+                            knowledge_vecs=[rng.normal(size=(2, 12)), rng.normal(size=shape)],
+                            ids=["a", "b"])
+        assert str(err.value) == (f"pair 'b': knowledge matrix {shape} is not [k, 12] "
+                                  "for modality vectors (2, 12)")
+
 
 class TestReport:
     def test_needs_two_pairs(self):

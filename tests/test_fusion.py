@@ -428,6 +428,31 @@ def _dense_concept_training(records, store, cfg):
     return per_epoch
 
 
+def _dict_batch_plan(ks, order, batch_size):
+    """_batch_plan as it ran with a dict of groups: the reference."""
+    groups: dict[int, list[int]] = {}
+    for i in order:
+        groups.setdefault(int(ks[i]), []).append(int(i))
+    return [np.asarray(groups[k][start : start + batch_size])
+            for k in sorted(groups) for start in range(0, len(groups[k]), batch_size)]
+
+
+class TestBatchPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(1, 12), max_size=80), batch_size=st.integers(1, 90),
+           seed=st.integers(0, 2**32 - 1))
+    @example(ks=[], batch_size=1, seed=0)
+    @example(ks=[5] * 7, batch_size=7, seed=1)
+    def test_matches_dict_grouping(self, ks, batch_size, seed):
+        ks = np.array(ks, dtype=np.int64)
+        order = np.random.default_rng(seed).permutation(len(ks))
+        got = fusion._batch_plan(ks, order, batch_size)
+        want = _dict_batch_plan(ks, order, batch_size)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
 class TestTrainClassifier:
     def test_deterministic(self):
         records, store = _small_dataset()
@@ -679,6 +704,22 @@ class TestEvaluationPath:
         ablation = FusionNet(_small_fusion_cfg(seed=4, use_knowledge=False))
         _, _, p1 = evaluate_records(ablation, records, store)
         assert abs(predict(ablation, records[3], store)[1][1] - p1[3]) <= 1e-12
+
+    def test_concept_store_of_another_dim_is_named(self):
+        records, store = _small_dataset(n=20)  # 8-d concepts
+        wide = EmbeddingStore(dim=16, names=store.names, vectors=np.tile(store.vectors, 2))
+        net = FusionNet(_small_fusion_cfg(seed=4))
+        msg = "concept store dim 16 != the net's knowledge_dim 8"
+        for call in (lambda: evaluate_records(net, records, wide),
+                     lambda: predict(net, records[3], wide),
+                     lambda: train_classifier(records, wide, _small_fusion_cfg())):
+            with pytest.raises(ValueError, match=msg):
+                call()
+        # The ablation net reads no concept row.
+        ablation = FusionNet(_small_fusion_cfg(seed=4, use_knowledge=False))
+        for got, want in zip(evaluate_records(ablation, records, wide),
+                             evaluate_records(ablation, records, store)):
+            assert np.array_equal(got, want)
 
 
 class TestCheckpoint:

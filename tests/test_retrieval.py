@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from knowfuse import retrieval
 from knowfuse.retrieval import (
     SCORE_BLOCK_BYTES,
-    TILE_ALIGN,
     TILE_QUERIES,
     ConceptIndex,
     combine_text_caption,
@@ -192,8 +191,7 @@ def _assert_matches_oracle(store, queries, k, got):
 
 def _tile_width_patch(width: int):
     """Tiles of `width` rows: the budget of TILE_QUERIES query rows by them."""
-    return mock.patch.multiple(retrieval, TILE_ALIGN=width,
-                               SCORE_BLOCK_BYTES=8 * TILE_QUERIES * width)
+    return mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * TILE_QUERIES * width)
 
 
 class TestBatchedTopK:
@@ -217,15 +215,15 @@ class TestBatchedTopK:
         store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)], vectors=vecs)
         queries = rng.normal(size=(100, dim))
         queries[:4] = vecs[[63, 0, 150, 229]]
-        with _tile_width_patch(TILE_ALIGN):
+        with _tile_width_patch(64):
             index = ConceptIndex(store)
             assert index.num_distinct == 222
-            assert index.tile_width == TILE_ALIGN  # four tiles
+            assert index.tile_width == 64  # four tiles
             budget = retrieval.SCORE_BLOCK_BYTES
-            assert index.block_rows(1) == budget // (8 * TILE_ALIGN)
+            assert index.block_rows(1) == budget // (8 * 64)
             # Past a tile's worth of kept candidates, blocks shrink to fit them.
             assert index.block_rows(n) == budget // (8 * 222)
-            for k in (1, 10, TILE_ALIGN + 6, n + 3):
+            for k in (1, 10, 64 + 6, n + 3):
                 _assert_matches_oracle(store, queries, k, top_k(index, queries, k))
 
     def test_exact_copies_tie_at_kernel_edges(self):
