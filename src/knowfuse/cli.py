@@ -168,13 +168,11 @@ def cmd_retrieve(args) -> None:
             block = queries.vectors[rows]
             if captions is not None:
                 block = retrieval.combine_text_caption(block, captions.vectors[rows], first=start)
-            for name, hits in zip(queries.names[rows], retrieval.top_k(index, block, args.k,
-                                                                       first=start)):
-                yield {"id": name, "concepts": [{"name": c, "score": s} for c, s in hits]}
+            yield from zip(queries.names[rows], retrieval.top_k(index, block, args.k, first=start))
 
     out = args.out / "retrieved.jsonl"
     try:
-        stores.write_jsonl(blocks(), out)
+        stores.write_retrieved_jsonl(blocks(), out)
     except ValueError:
         out.unlink()  # a bad query row leaves no partial output
         raise
@@ -234,11 +232,8 @@ def cmd_predict(args) -> None:
     concept_store = stores.read_store(args.concept_store)
     records = stores.read_records_jsonl(args.records, mm_store, concept_store)
     labels, preds, p1 = fusion.evaluate_records(net, records, concept_store)
-    stores.write_jsonl(
-        ({"id": record.id, "label": int(pred), "p0": 1.0 - float(prob), "p1": float(prob)}
-         for record, pred, prob in zip(records, preds, p1)),
-        args.out / "predictions.jsonl",
-    )
+    stores.write_predictions_jsonl([r.id for r in records], preds, p1,
+                                   args.out / "predictions.jsonl")
     acc = float(np.mean(labels == preds))
     print(f"predict: wrote {len(records)} predictions (accuracy vs file labels {acc:.4f})")
 

@@ -343,7 +343,9 @@ class _Adam:
 @dataclass
 class TrainResult:
     """The net restored to its best epoch, one history row per epoch, and
-    that epoch's evaluate_records output for the "train" and "val" records."""
+    that epoch's evaluate_records output for the "train" and "val" records.
+    With train_concepts, concept_vectors holds every concept row: a float64
+    copy with the tuned rows, or for the ablation net the store's own array."""
 
     net: FusionNet
     history: list[dict]
@@ -454,8 +456,10 @@ def train_classifier(
     if {r.label for r in records} != {0, 1}:
         raise ValueError("training records must include both labels")
 
-    # Trained concepts need a float64 copy; forward converts gathered rows exactly.
-    concepts = concept_store.vectors.astype(np.float64) if cfg.train_concepts else concept_store.vectors
+    # Tuned concepts need a float64 copy; forward converts gathered rows
+    # exactly. The ablation net reads no concept row, so it tunes none.
+    tuned = cfg.train_concepts and cfg.use_knowledge
+    concepts = concept_store.vectors.astype(np.float64) if tuned else concept_store.vectors
     _resolve_ids(records, concept_store, cfg)
     _resolve_ids(val_records, concept_store, cfg)
 
@@ -467,7 +471,6 @@ def train_classifier(
     # The training state is net.flat, followed with concept training by the
     # rows the training records use: every other row keeps zero gradient and
     # moments, so a step over the whole matrix would leave it bit-identical.
-    tuned = cfg.train_concepts and cfg.use_knowledge
     n = len(net.flat)
     state, rows = net.flat, concepts
     if tuned:

@@ -180,11 +180,10 @@ def _search_block(
     picked = ids[top].reshape(-1, kk)
     best = np.clip(vals[top].reshape(-1, kk), -1.0, 1.0)
 
-    names = index.store.names
-    return [
-        [(names[i], s) for i, s in zip(ids.tolist(), scores.tolist())]
-        for ids, scores in zip(picked, best)
-    ]
+    # One flat list cut per query, so that no Python frame runs per hit.
+    hits = list(zip(map(index.store.names.__getitem__, picked.ravel().tolist()),
+                    best.ravel().tolist()))
+    return [hits[start : start + kk] for start in range(0, len(hits), kk)]
 
 
 def _tile_candidates(

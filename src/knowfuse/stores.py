@@ -15,14 +15,19 @@ in a concept store) and label. Each id appears on one line only.
 
 BinaryReader is the one checked reader of binary files, stores and fusion
 checkpoints alike; write_json, write_jsonl and write_csv are the one writer
-of each text artifact.
+of each text artifact. The two large JSONL outputs, retrieved.jsonl and
+predictions.jsonl, go through the line encoder of write_retrieved_jsonl and
+write_predictions_jsonl: it joins pre-encoded pieces into the bytes
+write_jsonl would write for the same objects, without building them.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +124,64 @@ def write_json(obj, path: str | Path) -> None:
 
 def write_jsonl(objs, path: str | Path) -> None:
     """One sorted-key JSON object per line, written as `objs` yields them."""
+    _write_lines((json.dumps(obj, sort_keys=True) + "\n" for obj in objs), path)
+
+
+def _write_lines(lines, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(lines)
+
+
+# The line encoder's rules are json.dumps(obj, sort_keys=True)'s: keys in
+# sorted order, strings by json's ASCII escaping, and floats by
+# float.__repr__, with json's spellings of nan and the infinities.
+_json_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(xs) -> list[str]:
+    out = list(map(float.__repr__, xs))
+    if not _NON_FINITE.keys().isdisjoint(out):
+        out = [_NON_FINITE.get(r, r) for r in out]
+    return out
+
+
+class _HitHeads(dict):
+    """Concept name -> '{"name": <name>, "score": ', encoded on first use."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = head = f'{{"name": {_json_str(name)}, "score": '
+        return head
+
+
+def write_retrieved_jsonl(hits_by_query, path: str | Path) -> None:
+    """For each (query name, [(concept name, score), ...]) of `hits_by_query`,
+    the line {"concepts": [{"name": name, "score": score}, ...], "id": query
+    name}, as write_jsonl writes it."""
+    head = _HitHeads().__getitem__
+    name_of, score_of = itemgetter(0), itemgetter(1)
+
+    def line(query: str, hits) -> str:
+        # Maps, not a loop, so that no Python frame runs per hit.
+        concepts = "}, ".join(map(add, map(head, map(name_of, hits)),
+                                  _json_floats(map(score_of, hits))))
+        if hits:
+            concepts += "}"
+        return f'{{"concepts": [{concepts}], "id": {_json_str(query)}}}\n'
+
+    _write_lines(itertools.starmap(line, hits_by_query), path)
+
+
+def write_predictions_jsonl(ids, labels: np.ndarray, p1: np.ndarray, path: str | Path) -> None:
+    """For each record id, with its predicted label and positive-class
+    probability, the line {"id": id, "label": label, "p0": 1 - p1, "p1": p1},
+    as write_jsonl writes it."""
+    # Ids come from JSON records and may be any scalar, which json.dumps
+    # writes as write_jsonl does.
+    _write_lines((f'{{"id": {rec_id}, "label": {label}, "p0": {p0}, "p1": {p}}}\n'
+                  for rec_id, label, p0, p in zip(map(json.dumps, ids), labels.tolist(),
+                                                  _json_floats((1.0 - p1).tolist()),
+                                                  _json_floats(p1.tolist()))), path)
 
 
 def write_csv(header: list[str], rows, path: str | Path) -> None:

@@ -11,13 +11,32 @@ from knowfuse import congruence, fusion, retrieval
 from knowfuse.cli import derive_seed, main
 from knowfuse.fusion import FusionConfig, load_checkpoint
 from knowfuse.kge import KgeTrainConfig
-from knowfuse.stores import EmbeddingStore, SynthConfig, read_store, write_store
+from knowfuse.stores import (
+    EmbeddingStore,
+    SynthConfig,
+    read_records_jsonl,
+    read_store,
+    write_jsonl,
+    write_store,
+)
 
 from conftest import pair_bundle_rows, write_tsv
 
 
 def _read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
+
+
+# The objects retrieve and predict once built per line and handed to
+# write_jsonl: the oracle for the lines they now encode directly.
+def _retrieved_objects(names, hits_by_query):
+    return [{"id": name, "concepts": [{"name": c, "score": s} for c, s in hits]}
+            for name, hits in zip(names, hits_by_query)]
+
+
+def _prediction_objects(records, preds, p1):
+    return [{"id": record.id, "label": int(pred), "p0": 1.0 - float(prob), "p1": float(prob)}
+            for record, pred, prob in zip(records, preds, p1)]
 
 
 @pytest.fixture()
@@ -263,10 +282,8 @@ class TestRetrieve:
         captions = read_store(retrieval_files["captions"])
         whole = retrieval.top_k(retrieval.ConceptIndex(concepts),
                                 retrieval.combine_text_caption(text.vectors, captions.vectors), 4)
-        want = "".join(
-            json.dumps({"id": name, "concepts": [{"name": c, "score": s} for c, s in hits]},
-                       sort_keys=True) + "\n"
-            for name, hits in zip(text.names, whole))
+        want = "".join(json.dumps(obj, sort_keys=True) + "\n"
+                       for obj in _retrieved_objects(text.names, whole))
         seen = []
         search = retrieval.top_k
         monkeypatch.setattr(retrieval, "top_k",
@@ -296,6 +313,32 @@ class TestRetrieve:
         assert capsys.readouterr().err == "error: text row 3 has zero norm\n"
         assert not (out / "retrieved.jsonl").exists()
 
+    @pytest.mark.parametrize("usable", [5, 0])
+    def test_lines_are_write_jsonl_of_the_old_objects(self, tmp_path, monkeypatch, usable):
+        # Exact copies, a zero row and fewer usable rows than k, or none at
+        # all; names that need escaping; queries in blocks of two.
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(3, 6)).astype(np.float32)
+        vectors = np.stack([rows[0], rows[1], np.zeros(6), rows[0], rows[2], rows[1]])
+        if not usable:
+            vectors[:] = 0.0
+        concepts = EmbeddingStore(dim=6, names=['c"0', "c\\1", "zero", "c0 copy", "\xe9",
+                                                "\U0001f600\x1f"], vectors=vectors)
+        queries = EmbeddingStore(dim=6, names=["q0", 'q"1', "q\u20282", "q3", "q\U0001f6004"],
+                                 vectors=np.vstack([rows[1], rng.normal(size=(4, 6))]))
+        for name, store in (("concepts", concepts), ("queries", queries)):
+            write_store(store, tmp_path / f"{name}.emb")
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * 12 * 2)
+        hits = retrieval.top_k(retrieval.ConceptIndex(read_store(tmp_path / "concepts.emb")),
+                               read_store(tmp_path / "queries.emb").vectors, 8)
+        assert {len(h) for h in hits} == {usable}
+        write_jsonl(_retrieved_objects(queries.names, hits), tmp_path / "want.jsonl")
+        out = tmp_path / "out"
+        assert main(["retrieve", "--concepts", str(tmp_path / "concepts.emb"),
+                     "--queries", str(tmp_path / "queries.emb"), "--k", "8",
+                     "--out", str(out)]) == 0
+        assert (out / "retrieved.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
     def test_zero_query_names_its_row(self, retrieval_files, tmp_path, capsys, monkeypatch):
         queries = read_store(retrieval_files["queries"])
         vecs = queries.vectors.copy()
@@ -309,6 +352,7 @@ class TestRetrieve:
         ]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: query row 2 has zero norm\n"
+        assert not (tmp_path / "out" / "retrieved.jsonl").exists()  # row 2 is in the second block
 
     def test_bad_k_leaves_no_output(self, retrieval_files, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -527,6 +571,27 @@ class TestTrainFusionAndPredict:
         assert (out_a / "predictions.jsonl").read_bytes() == (
             out_b / "predictions.jsonl"
         ).read_bytes()
+
+    def test_prediction_lines_are_write_jsonl_of_the_old_objects(self, data, tmp_path):
+        # Ids that need escaping, or are not strings at all.
+        records = data / "records.jsonl"
+        lines = [json.loads(line) for line in records.read_text().splitlines()]
+        odd_ids = ['a "quoted" \\ id', "\xe9\u2028\U0001f600", "\x00\x1f", 7, 2.5, None]
+        for line, rec_id in zip(lines, odd_ids):
+            line["id"] = rec_id
+        records.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        model = tmp_path / "model"
+        assert main(_fusion_args(data, model)) == 0
+        mm, concepts = read_store(data / "multimodal.emb"), read_store(data / "concepts.emb")
+        recs = read_records_jsonl(records, mm, concepts)
+        _, preds, p1 = fusion.evaluate_records(load_checkpoint(model / "fusion.ckpt"), recs,
+                                               concepts)
+        write_jsonl(_prediction_objects(recs, preds, p1), tmp_path / "want.jsonl")
+        out = tmp_path / "pred"
+        assert main(["predict", "--checkpoint", str(model / "fusion.ckpt"),
+                     "--records", str(records), "--mm-store", str(data / "multimodal.emb"),
+                     "--concept-store", str(data / "concepts.emb"), "--out", str(out)]) == 0
+        assert (out / "predictions.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
     def test_missing_checkpoint_exits_two(self, data, tmp_path):
         argv = [

@@ -579,6 +579,15 @@ class TestTrainClassifier:
             labels, preds, _ = res.evaluation["val"]
             assert np.mean(labels == preds) == max(row["val_acc"] for row in res.history)
 
+    def test_ablation_copies_no_concepts(self):
+        # The ablation net reads no concept row, so training it with
+        # train_concepts tunes none and needs no float64 copy of the store.
+        records, store = _small_dataset()
+        res = train_classifier(records, store,
+                               _small_fusion_cfg(train_concepts=True, use_knowledge=False))
+        assert res.concept_vectors.dtype == np.float32
+        assert np.shares_memory(res.concept_vectors, store.vectors)
+
     def test_untrained_concepts_not_returned(self):
         records, store = _small_dataset()
         res = train_classifier(records, store, _small_fusion_cfg())

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from knowfuse.errors import (
@@ -24,7 +28,9 @@ from knowfuse.stores import (
     read_store,
     records_to_store,
     synth_dataset,
+    write_predictions_jsonl,
     write_records_jsonl,
+    write_retrieved_jsonl,
     write_store,
 )
 
@@ -314,6 +320,60 @@ class TestRecordsJsonl:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no records"):
             read_records_jsonl(path, mm_store, concept_store)
+
+
+def _written(writer, *args) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.jsonl"
+        writer(*args, path)
+        return path.read_text(encoding="utf-8")
+
+
+def _dumps_lines(objs) -> str:
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral-plane
+# characters, besides whatever else hypothesis draws.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\n\x1f\x7f\xe9\u2028\uffff\U0001f600'),
+                          st.characters()))
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-7, 0.1, 1e16, 1.0, -1.0]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS + [float("nan"), float("inf"), -float("inf")]),
+                       st.floats())
+
+
+class TestLineEncoder:
+    """retrieved.jsonl and predictions.jsonl lines are json.dumps(obj,
+    sort_keys=True) of the objects they stand for, byte for byte."""
+
+    @given(st.lists(st.tuples(_TEXT, st.lists(st.tuples(_TEXT, _FINITE), max_size=10)),
+                    max_size=6))
+    @example([("q", []), ("q\U0001f600", [("c\"\\", -0.0)]),
+              ("", [("\x00", 5e-324), ("\xe9", 1e-7), ("c\"\\", 0.1), ("x", 1e16), ("y", 1.0),
+                    ("z", -1.0), ("w", 0.0), ("v", 0.5), ("u", -0.25), ("\U0001f600", 1 / 3)])])
+    def test_retrieved_lines(self, hits_by_query):
+        want = _dumps_lines({"id": query, "concepts": [{"name": c, "score": s} for c, s in hits]}
+                            for query, hits in hits_by_query)
+        assert _written(write_retrieved_jsonl, hits_by_query) == want
+
+    @given(st.lists(st.tuples(_TEXT, st.integers(0, 1), _ANY_FLOAT), max_size=8))
+    @example([("a\"\\\x1f\xe9\U0001f600", 1, float("nan")), ("b", 0, float("inf")),
+              ("c", 1, -float("inf")), ("d", 0, -0.0), ("e", 1, 5e-324), ("f", 0, 1e-7),
+              ("g", 1, 0.1), ("h", 0, 1e16), ("i", 1, 1.0), ("j", 0, -1.0)])
+    def test_prediction_lines(self, rows):
+        ids = [rec_id for rec_id, _, _ in rows]
+        labels = np.array([label for _, label, _ in rows], dtype=np.int64)
+        p1 = np.array([p for _, _, p in rows], dtype=np.float64)
+        want = _dumps_lines({"id": rec_id, "label": label, "p0": 1.0 - p, "p1": p}
+                            for rec_id, label, p in rows)
+        assert _written(write_predictions_jsonl, ids, labels, p1) == want
+
+    @pytest.mark.parametrize("rec_id", [7, 2.5, True, None])
+    def test_prediction_ids_of_other_json_types(self, rec_id):
+        # The records reader takes any JSON scalar as an id.
+        got = _written(write_predictions_jsonl, [rec_id], np.array([1]), np.array([0.75]))
+        assert got == _dumps_lines([{"id": rec_id, "label": 1, "p0": 0.25, "p1": 0.75}])
 
 
 class TestSynthConfig:
