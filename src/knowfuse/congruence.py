@@ -121,26 +121,22 @@ def augment_with_knowledge(pairs: ModalityPairSet) -> ModalityPairSet:
     if pairs.knowledge_vecs is None:
         raise ValueError("pair set has no knowledge vectors")
     km = np.empty_like(pairs.text_vecs)
-    for i, mat in enumerate(pairs.knowledge_vecs):
+    for i, (pair, mat) in enumerate(zip(pairs.ids, pairs.knowledge_vecs)):
         if mat.shape[0] == 0:
-            raise ValueError(f"pair {i}: empty knowledge matrix")
+            raise ValueError(f"pair {pair!r}: empty knowledge matrix")
         km[i] = mat.mean(axis=0)
-    km_norms = np.linalg.norm(km, axis=1)
-    if np.any(km_norms == 0.0):
-        bad = int(np.nonzero(km_norms == 0.0)[0][0])
-        raise ValueError(f"pair {bad}: knowledge mean has zero norm")
 
-    def _augment(vecs: np.ndarray) -> np.ndarray:
-        mean = 0.5 * (vecs + km)
-        norms = np.linalg.norm(mean, axis=1)
+    def _unit(vecs: np.ndarray, what: str) -> np.ndarray:
+        norms = np.linalg.norm(vecs, axis=1)
         if np.any(norms == 0.0):
-            bad = int(np.nonzero(norms == 0.0)[0][0])
-            raise ValueError(f"pair {bad}: augmented vector has zero norm")
-        return mean / norms[:, None]
+            bad = pairs.ids[int(np.argmax(norms == 0.0))]
+            raise ValueError(f"pair {bad!r}: {what} has zero norm")
+        return vecs / norms[:, None]
 
+    _unit(km, "knowledge mean")
     return ModalityPairSet(
-        text_vecs=_augment(pairs.text_vecs),
-        image_vecs=_augment(pairs.image_vecs),
+        text_vecs=_unit(0.5 * (pairs.text_vecs + km), "augmented vector"),
+        image_vecs=_unit(0.5 * (pairs.image_vecs + km), "augmented vector"),
         knowledge_vecs=pairs.knowledge_vecs,
         ids=list(pairs.ids),
     )

@@ -60,11 +60,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocab):
-            return NotImplemented
-        return self._labels == other._labels
-
 
 @dataclass
 class KnowledgeGraph:

@@ -12,8 +12,9 @@ Training minimises the margin ranking loss
     L = max(0, margin - f(pos) + f(neg))
 
 with minibatch SGD over filtered negatives. All gradients are hand derived;
-training runs in float64. One kernel per score function scores a batch of
-index triples with their row gradients; ranking uses its one-product form.
+training runs in float64. One kernel per score function scores a [B, 3]
+array of id triples with their row gradients; ranking uses its one-product
+form. Training and its gradients take [B, 3] id arrays only.
 
 RotatE layout: an entity row of even length k is read as k/2 complex numbers
 in interleaved (re, im) pairs, i.e. row.reshape(k // 2, 2). A relation row
@@ -32,9 +33,6 @@ from .errors import NonFiniteScoreError, TrainingDivergedError, check_fields
 from .kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt
 
 KINDS = ("transe", "rotate", "distmult")
-
-# Sparse gradient rows are keyed ("e", entity_id) or ("r", relation_id).
-GradSet = dict[tuple[str, int], np.ndarray]
 
 # Bytes of one float64 block of link-prediction scores (queries x entities).
 SCORE_BLOCK_BYTES = 512 * 1024
@@ -84,14 +82,6 @@ class KgeModel:
     relation_emb: np.ndarray
     dim: int
     norm: str = "l2"
-
-    def _check_triple(self, t: Triple) -> None:
-        if not 0 <= t.head < self.entity_emb.shape[0]:
-            raise ValueError(f"head id {t.head} out of range")
-        if not 0 <= t.tail < self.entity_emb.shape[0]:
-            raise ValueError(f"tail id {t.tail} out of range")
-        if not 0 <= t.relation < self.relation_emb.shape[0]:
-            raise ValueError(f"relation id {t.relation} out of range")
 
 
 def init_model(cfg: KgeTrainConfig, n_entities: int, n_relations: int) -> KgeModel:
@@ -148,34 +138,10 @@ def _kernel(model: KgeModel, h, r, t, grads: bool = True):
     return scores, (_rotate(g, cos, -sin).reshape(len(g), -1), g_theta, -g.reshape(len(g), -1))
 
 
-def score(model: KgeModel, t: Triple) -> float:
-    """Plausibility score of one triple; higher means more plausible."""
-    model._check_triple(t)
-    return float(_kernel(model, [t.head], [t.relation], [t.tail], grads=False)[0][0])
-
-
-def loss_margin(model: KgeModel, positive: Triple, negative: Triple, margin: float) -> float:
-    """Margin ranking loss max(0, margin - f(pos) + f(neg))."""
-    return max(0.0, margin - score(model, positive) + score(model, negative))
-
-
-def grad(model: KgeModel, positive, negative, margin: float):
-    """Gradient of the margin loss with respect to every touched row.
-
-    For two Triples, a sparse mapping from ("e"|"r", id) to a gradient row,
-    summed over shared rows; an inactive hinge yields an empty mapping. For
-    [B, 3] id arrays of positives and negatives, a BatchGrad of the B pairs.
-    """
-    if isinstance(positive, Triple):
-        model._check_triple(positive)
-        model._check_triple(negative)
-        g = grad(model, np.array([positive.as_tuple()]), np.array([negative.as_tuple()]), margin)
-        grads: GradSet = {}
-        for space, rows, values in (("e", g.entity_rows, g.entity_grads),
-                                    ("r", g.relation_rows, g.relation_grads)):
-            for row, value in zip(rows.tolist(), values):
-                grads[space, row] = grads.get((space, row), 0.0) + value
-        return grads
+def grad(model: KgeModel, positive, negative, margin: float) -> BatchGrad:
+    """The margin losses max(0, margin - f(pos) + f(neg)) of B pairs, given
+    as [B, 3] id arrays of positives and negatives, and their gradients
+    with respect to every row an active pair touches."""
     ids = np.concatenate([positive, negative])
     scores, (g_h, g_r, g_t) = _kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
     b = len(positive)
@@ -278,14 +244,18 @@ def link_predict_eval(
     candidates scoring exactly the same, so a model that scores everything
     alike ranks in the middle, not first. hits@k counts ranks <= k. Head
     queries are symmetric. Blocks of queries fit SCORE_BLOCK_BYTES. Raises
-    NonFiniteScoreError, naming the held-out triple, when a query has a NaN
-    or infinite score.
+    ValueError, naming the field, on a held-out id outside the model's
+    tables, and NonFiniteScoreError, naming the held-out triple, when a
+    query has a NaN or infinite score.
     """
     if not heldout:
         raise ValueError("heldout set is empty")
-    for t in heldout:
-        model._check_triple(t)
     held = np.array([t.as_tuple() for t in heldout], dtype=np.int64)
+    n_ent = len(model.entity_emb)
+    bad = (held < 0) | (held >= [n_ent, len(model.relation_emb), n_ent])
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), 3)
+        raise ValueError(f"{('head', 'relation', 'tail')[j]} id {held[i, j]} out of range")
     n, n_rel = kg.num_entities, kg.num_relations
     # The known triples (graph plus held-out set) keyed in (h, r, t) and in
     # (t, r, h) order: a query's known completions are one run of keys,

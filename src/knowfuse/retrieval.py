@@ -1,6 +1,7 @@
 """Exact cosine top-k retrieval over an embedding store.
 
-Scores are computed in float64 and ranked descending, ties broken by
+Queries, and the text and caption rows combined into them, are `[Q, dim]`
+blocks. Scores are computed in float64 and ranked descending, ties broken by
 ascending insertion order. A `ConceptIndex` drops zero-norm rows and groups
 exact copies once, when it is built, so each distinct row is scored once and
 its copies take that very score: exact copies always tie, and come out in
@@ -109,49 +110,41 @@ def _first_copies(vectors: np.ndarray, usable: np.ndarray, norms: np.ndarray) ->
     return first
 
 
-def _reject(
-    bad: np.ndarray, single: bool, what: str, problem: str, first: int = 0
-) -> None:
-    """Raise ValueError naming the first row flagged in `bad`, counted from
-    `first`; a single vector is named as such."""
+def _reject(bad: np.ndarray, what: str, problem: str, first: int = 0) -> None:
+    """Raise ValueError naming the first row flagged in `bad`, counted from `first`."""
     if bad.any():
-        where = f"{what} vector" if single else f"{what} row {first + int(np.argmax(bad))}"
-        raise ValueError(f"{where} {problem}")
+        raise ValueError(f"{what} row {first + int(np.argmax(bad))} {problem}")
 
 
-def _normalise_rows(x: np.ndarray, single: bool, what: str, first: int = 0) -> None:
+def _normalise_rows(x: np.ndarray, what: str, first: int = 0) -> None:
     """Divide the rows of x by their L2 norms in place; zero rows are an error."""
     norms = np.linalg.norm(x, axis=1)
-    _reject(norms == 0.0, single, what, "has zero norm", first)
+    _reject(norms == 0.0, what, "has zero norm", first)
     x /= norms[:, None]
 
 
 def top_k(index: ConceptIndex, queries: np.ndarray, k: int, *, first: int = 0):
-    """The k nearest rows by cosine similarity, for one query or a block.
+    """The k nearest rows by cosine similarity of each row of a `[Q, dim]`
+    query block: one list of (name, score) pairs per row.
 
-    `queries` is one `[dim]` vector, which returns a list of (name, score)
-    pairs, or a `[Q, dim]` matrix, which returns one such list per row.
     Scores are clipped into [-1, 1], descending, ties by insertion order.
-    Fewer than k usable rows returns all of them. Raises ValueError on a dim
-    mismatch, a zero-norm or non-finite query row, or k not an int >= 1.
-    Errors number the rows from `first`, for a block cut from a larger matrix.
+    Fewer than k usable rows returns all of them. Raises ValueError on a
+    block that is not `[Q, dim]`, a zero-norm or non-finite row, or k not an
+    int >= 1, numbering rows from `first`, for a block cut from a larger one.
     """
     check_value("k", k, int, min=1)
     q = np.asarray(queries)
-    single = q.ndim <= 1
-    if single:
-        q = q.reshape(1, -1)
     if q.ndim != 2 or q.shape[1] != index.dim:
-        raise ValueError(f"query dim {q.shape[-1]} does not match index dim {index.dim}")
+        raise ValueError(f"query shape {q.shape} is not [Q, index dim {index.dim}]")
 
     hits: list[list[tuple[str, float]]] = []
     step = index.block_rows(k)
     for start in range(0, q.shape[0], step):
         block = q[start : start + step].astype(np.float64)
-        _reject(~np.isfinite(block).all(axis=1), single, "query", "is not finite", first + start)
-        _normalise_rows(block, single, "query", first + start)
+        _reject(~np.isfinite(block).all(axis=1), "query", "is not finite", first + start)
+        _normalise_rows(block, "query", first + start)
         hits.extend(_search_block(index, block, k))
-    return hits[0] if single else hits
+    return hits
 
 
 def _search_block(
@@ -216,32 +209,26 @@ def _tile_candidates(
 def combine_text_caption(
     text_vec: np.ndarray, caption_vec: np.ndarray, *, first: int = 0
 ) -> np.ndarray:
-    """L2-normalised mean of the two L2-normalised inputs.
+    """A new `[Q, dim]` block: row by row, the L2-normalised mean of the
+    L2-normalised rows of two `[Q, dim]` blocks, text and caption.
 
-    Takes one `[dim]` pair or `[Q, dim]` pairs, combined row by row, and
-    returns the same shape. Raises ValueError on mismatched shapes, a
-    zero-norm row, or a pair that cancels out; errors number the rows from
-    `first`, as top_k does.
+    Raises ValueError on other shapes, a zero-norm row, or a pair that
+    cancels out; errors number the rows from `first`, as top_k does.
     """
     # Copies, so the arithmetic below can run in place.
     t = np.array(text_vec, dtype=np.float64)
     c = np.array(caption_vec, dtype=np.float64)
-    single = t.ndim == 1
-    if t.ndim not in (1, 2) or c.ndim != t.ndim:
-        raise ValueError(
-            f"text shape {t.shape} and caption shape {c.shape} are not both [dim] or [Q, dim]"
-        )
-    if t.shape[-1] != c.shape[-1]:
-        raise ValueError(f"text dim {t.shape[-1]} != caption dim {c.shape[-1]}")
+    if t.ndim != 2 or c.ndim != 2:
+        raise ValueError(f"text shape {t.shape} and caption shape {c.shape} are not both [Q, dim]")
+    if t.shape[1] != c.shape[1]:
+        raise ValueError(f"text dim {t.shape[1]} != caption dim {c.shape[1]}")
     if t.shape != c.shape:
         raise ValueError(f"{t.shape[0]} text rows != {c.shape[0]} caption rows")
-    t2, c2 = t.reshape(-1, t.shape[-1]), c.reshape(-1, c.shape[-1])  # views
-    _normalise_rows(t2, single, "text", first)
-    _normalise_rows(c2, single, "caption", first)
-    t2 += c2
-    t2 /= 2.0  # t now holds the mean of the two unit vectors
-    norms = np.linalg.norm(t2, axis=1)
-    _reject(norms == 0.0, single, "combined query", "is zero: text and caption cancel out",
-            first)
-    t2 /= norms[:, None]
+    _normalise_rows(t, "text", first)
+    _normalise_rows(c, "caption", first)
+    t += c
+    t /= 2.0  # t now holds the mean of the two unit vectors
+    norms = np.linalg.norm(t, axis=1)
+    _reject(norms == 0.0, "combined query", "is zero: text and caption cancel out", first)
+    t /= norms[:, None]
     return t

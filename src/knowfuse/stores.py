@@ -56,8 +56,6 @@ class EmbeddingStore:
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
-        if self.vectors.ndim != 2:
-            self.vectors = self.vectors.reshape(len(self.names), self.dim)
         if self.dim < 1:
             raise DimMismatchError(f"dim must be >= 1, got {self.dim}")
         if self.vectors.shape != (len(self.names), self.dim):
@@ -322,7 +320,8 @@ def _records_style_rows(path: str | Path, *extra: str):
 
     Raises ValueError, naming the line, on malformed JSON, a missing field,
     concept_names that are not a list of strings, or an id that an earlier
-    line already used; and when the file holds no records.
+    line already used, by type and value (1, 1.0 and true are three ids);
+    and when the file holds no records.
     """
     first_line: dict = {}
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -333,7 +332,7 @@ def _records_style_rows(path: str | Path, *extra: str):
             try:
                 obj = json.loads(line)
                 rec_id, names, *values = (obj[key] for key in ("id", "concept_names", *extra))
-                first = first_line.setdefault(rec_id, lineno)  # TypeError if unhashable
+                first = first_line.setdefault((type(rec_id), rec_id), lineno)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: bad record on line {lineno}: {exc}") from exc
             if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):

@@ -9,12 +9,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import re  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import pytest
 
 from knowfuse.cli import build_parser
 from knowfuse.kg import KnowledgeGraph, load_triples
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_library_snippet() -> str:
+    """The python block under the README's "Library use" heading."""
+    section = README.read_text().split("## Library use", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, flags=re.S)
+    assert match, "README has no python block under 'Library use'"
+    return match.group(1)
 
 
 def cli_sections() -> dict[str, tuple[str, list[str]]]:

@@ -16,7 +16,10 @@ import numpy as np
 
 from knowfuse.errors import CorruptionError
 from knowfuse.kg import HEAD, TAIL, KnowledgeGraph, Triple
-from knowfuse.kge import GradSet, KgeModel, KgeTrainConfig, LinkPredictionResult, init_model
+from knowfuse.kge import KgeModel, KgeTrainConfig, LinkPredictionResult, init_model
+
+# Sparse gradient rows are keyed ("e", entity_id) or ("r", relation_id).
+GradSet = dict[tuple[str, int], np.ndarray]
 
 
 def _vec_norm(v: np.ndarray, norm: str) -> float:
@@ -39,9 +42,18 @@ def _rotate_parts(model: KgeModel, t: Triple):
     return h, cos, sin, rot_re, rot_im, d_re, d_im
 
 
+def _check_triple(model: KgeModel, t: Triple) -> None:
+    if not 0 <= t.head < model.entity_emb.shape[0]:
+        raise ValueError(f"head id {t.head} out of range")
+    if not 0 <= t.tail < model.entity_emb.shape[0]:
+        raise ValueError(f"tail id {t.tail} out of range")
+    if not 0 <= t.relation < model.relation_emb.shape[0]:
+        raise ValueError(f"relation id {t.relation} out of range")
+
+
 def score(model: KgeModel, t: Triple) -> float:
     """Plausibility score of one triple; higher means more plausible."""
-    model._check_triple(t)
+    _check_triple(model, t)
     if model.kind == "transe":
         d = model.entity_emb[t.head] + model.relation_emb[t.relation] - model.entity_emb[t.tail]
         return -_vec_norm(d, model.norm)

@@ -253,7 +253,7 @@ class TestRetrieve:
         text = read_store(retrieval_files["queries"])
         captions = read_store(retrieval_files["captions"])
         want = [
-            retrieval.top_k(index, retrieval.combine_text_caption(t, c), 4)
+            retrieval.top_k(index, retrieval.combine_text_caption(t[None], c[None]), 4)[0]
             for t, c in zip(text.vectors, captions.vectors)
         ]
         for rows in (5, 1):

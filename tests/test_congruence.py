@@ -113,6 +113,22 @@ class TestAugmentWithKnowledge:
         with pytest.raises(ValueError, match="augmented"):
             augment_with_knowledge(pairs)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, 0.0], [-1.0, 0.0]], "knowledge mean has zero norm"),
+        (np.zeros((0, 2)), "empty knowledge matrix"),
+        ([[-1.0, 0.0]], "augmented vector has zero norm"),
+    ], ids=["zero-mean", "empty", "cancelled"])
+    def test_failing_pair_is_named_by_id(self, bad, message):
+        # the third pair fails, and its id is not its position
+        pairs = ModalityPairSet(
+            text_vecs=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+            image_vecs=[[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            knowledge_vecs=[[[1.0, 1.0]], [[1.0, 1.0]], bad],
+            ids=["camp_b", "camp_a", "camp_c"],
+        )
+        with pytest.raises(ValueError, match=f"^pair 'camp_c': {message}$"):
+            augment_with_knowledge(pairs)
+
     @pytest.mark.parametrize("shape", [(3, 8), (3, 7), (12,)])
     def test_knowledge_of_another_width_is_named(self, shape):
         # 3 concepts of 8 values are 24 values: two rows of 12 once reshaped.

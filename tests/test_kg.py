@@ -191,8 +191,8 @@ class TestHoldoutSplit:
     def test_vocab_preserved_and_known_set_rebuilt(self, toy_graph):
         toy_graph.known_keys  # a parent's cached keys must not reach the split
         train, heldout = holdout_split(toy_graph, 10, seed=7)
-        assert train.entity_vocab == toy_graph.entity_vocab
-        assert train.relation_vocab == toy_graph.relation_vocab
+        assert train.entity_vocab.labels == toy_graph.entity_vocab.labels
+        assert train.relation_vocab.labels == toy_graph.relation_vocab.labels
         held = np.array([t.as_tuple() for t in heldout])
         assert toy_graph.is_known(held).all()
         assert not train.is_known(held).any() and train.is_known(train.triples).all()

@@ -10,11 +10,10 @@ from knowfuse.kg import Triple, holdout_split
 from knowfuse.kge import (
     KgeModel,
     KgeTrainConfig,
+    _kernel,
     grad,
     init_model,
     link_predict_eval,
-    loss_margin,
-    score,
     train,
 )
 
@@ -40,39 +39,57 @@ def _random_model(kind: str, norm: str, rng, n_ent: int = 4, n_rel: int = 2,
     return _model(kind, entity, relation, norm)
 
 
+def _scores(model: KgeModel, triples) -> np.ndarray:
+    """Kernel scores of (head, relation, tail) id triples, one batch."""
+    h, r, t = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return _kernel(model, h, r, t, grads=False)[0]
+
+
+def _loss(model: KgeModel, pos, neg, margin: float) -> float:
+    """The margin loss of one (positive, negative) pair, a batch of one."""
+    return float(grad(model, np.array([pos]), np.array([neg]), margin).losses[0])
+
+
+def _dense_grads(model: KgeModel, pos, neg, margin: float):
+    """The gradient of one pair's margin loss, summed by row into zero
+    tables shaped like the model's, and the rows it touches."""
+    g = grad(model, np.array([pos]), np.array([neg]), margin)
+    ent, rel = np.zeros_like(model.entity_emb), np.zeros_like(model.relation_emb)
+    np.add.at(ent, g.entity_rows, g.entity_grads)
+    np.add.at(rel, g.relation_rows, g.relation_grads)
+    touched = {("e", e) for e in g.entity_rows.tolist()} | {("r", r) for r in g.relation_rows.tolist()}
+    return ent, rel, touched
+
+
 class TestScoreHandValues:
     def test_transe_l2(self):
         m = _model("transe", [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]])
         # h + r - t = (1, 1)
-        assert_allclose(score(m, Triple(0, 0, 1)), -SQRT2, rtol=1e-12)
+        assert_allclose(_scores(m, (0, 0, 1)), [-SQRT2], rtol=1e-12)
 
     def test_transe_l1(self):
         m = _model("transe", [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]], norm="l1")
-        assert_allclose(score(m, Triple(0, 0, 1)), -2.0, rtol=1e-12)
+        assert_allclose(_scores(m, (0, 0, 1)), [-2.0], rtol=1e-12)
 
     def test_distmult(self):
         m = _model("distmult", [[1.0, 2.0], [5.0, 6.0]], [[3.0, 4.0]])
         # 1*3*5 + 2*4*6
-        assert_allclose(score(m, Triple(0, 0, 1)), 63.0, rtol=1e-12)
+        assert_allclose(_scores(m, (0, 0, 1)), [63.0], rtol=1e-12)
 
     def test_rotate_quarter_turn(self):
         # one complex component, phase pi/2 turns 1+0i into 0+1i
         m = _model("rotate", [[1.0, 0.0], [0.0, 1.0]], [[np.pi / 2.0]])
-        assert_allclose(score(m, Triple(0, 0, 1)), 0.0, atol=1e-15)
-        assert_allclose(score(m, Triple(0, 0, 0)), -SQRT2, rtol=1e-12)
+        got = _scores(m, [(0, 0, 1), (0, 0, 0)])
+        assert_allclose(got[0], 0.0, atol=1e-15)
+        assert_allclose(got[1], -SQRT2, rtol=1e-12)
 
     def test_rotate_l1_is_sum_of_moduli(self):
         # two complex components, zero phases: moduli of h - t are 1 and 2
         entity = [[1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]]
         m = _model("rotate", entity, [[0.0, 0.0]], norm="l1")
-        assert_allclose(score(m, Triple(0, 0, 1)), -3.0, rtol=1e-12)
+        assert_allclose(_scores(m, (0, 0, 1)), [-3.0], rtol=1e-12)
         m2 = _model("rotate", entity, [[0.0, 0.0]], norm="l2")
-        assert_allclose(score(m2, Triple(0, 0, 1)), -np.sqrt(5.0), rtol=1e-12)
-
-    def test_triple_id_out_of_range(self):
-        m = _model("transe", [[0.0, 0.0]], [[0.0, 0.0]])
-        with pytest.raises(ValueError, match="out of range"):
-            score(m, Triple(0, 0, 5))
+        assert_allclose(_scores(m2, (0, 0, 1)), [-np.sqrt(5.0)], rtol=1e-12)
 
 
 class TestScoreIdentities:
@@ -81,8 +98,7 @@ class TestScoreIdentities:
         for _ in range(200):
             m = _random_model("distmult", "l2", rng)
             h, r, t = rng.integers(0, 4), rng.integers(0, 2), rng.integers(0, 4)
-            a = score(m, Triple(int(h), int(r), int(t)))
-            b = score(m, Triple(int(t), int(r), int(h)))
+            a, b = _scores(m, [(h, r, t), (t, r, h)])
             # swapping reassociates the elementwise products, so the two
             # sums can differ in the last ulp
             assert_allclose(a, b, rtol=1e-12)
@@ -96,7 +112,7 @@ class TestScoreIdentities:
                 d = (entity[0] - entity[1]).reshape(4, 2)
                 moduli = np.sqrt(np.sum(d * d, axis=1))
                 want = -np.sum(moduli) if norm == "l1" else -np.sqrt(np.sum(d * d))
-                assert_allclose(score(m, Triple(0, 0, 1)), want, atol=1e-12)
+                assert_allclose(_scores(m, (0, 0, 1)), [want], atol=1e-12)
 
     def test_transe_zero_iff_exact_translation(self):
         rng = np.random.default_rng(2)
@@ -104,8 +120,9 @@ class TestScoreIdentities:
             h = rng.normal(size=4)
             r = rng.normal(size=4)
             m = _model("transe", np.stack([h, h + r]), r[None, :])
-            assert score(m, Triple(0, 0, 1)) == 0.0
-            assert score(m, Triple(1, 0, 0)) < 0.0
+            exact, swapped = _scores(m, [(0, 0, 1), (1, 0, 0)])
+            assert exact == 0.0
+            assert swapped < 0.0
 
 
 class TestLossMargin:
@@ -116,18 +133,18 @@ class TestLossMargin:
     def test_active_hinge_value(self):
         # f(pos) = -1, f(neg) = -sqrt(2)
         m = self._m()
-        got = loss_margin(m, Triple(0, 0, 1), Triple(2, 0, 1), 1.0)
+        got = _loss(m, (0, 0, 1), (2, 0, 1), 1.0)
         assert_allclose(got, 2.0 - SQRT2, rtol=1e-12)
 
     def test_equal_scores_give_exactly_margin(self):
         m = self._m()
         # both distances are 1
-        assert loss_margin(m, Triple(0, 0, 1), Triple(3, 0, 1), 1.0) == 1.0
+        assert _loss(m, (0, 0, 1), (3, 0, 1), 1.0) == 1.0
 
     def test_clamped_to_zero(self):
         m = self._m()
         # f(pos) = 0, f(neg) = -sqrt(2), hinge is negative
-        assert loss_margin(m, Triple(0, 0, 0), Triple(2, 0, 1), 1.0) == 0.0
+        assert _loss(m, (0, 0, 0), (2, 0, 1), 1.0) == 0.0
 
 
 class TestGrad:
@@ -136,36 +153,38 @@ class TestGrad:
         # d_pos = (-1, 0) with unit vector u_p, d_neg = (-1, 1) with u_n.
         # dL/d(pos rows) = -d f_pos, dL/d(neg rows) = +d f_neg, shared tail sums.
         m = _model("transe", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]])
-        g = grad(m, Triple(0, 0, 1), Triple(2, 0, 1), 1.0)
+        ent, rel, touched = _dense_grads(m, (0, 0, 1), (2, 0, 1), 1.0)
         s = 1.0 / SQRT2
-        assert set(g) == {("e", 0), ("e", 1), ("e", 2), ("r", 0)}
-        assert_allclose(g[("e", 0)], [-1.0, 0.0], rtol=1e-12)
-        assert_allclose(g[("e", 1)], [1.0 - s, s], rtol=1e-12)
-        assert_allclose(g[("e", 2)], [s, -s], rtol=1e-12)
-        assert_allclose(g[("r", 0)], [s - 1.0, -s], rtol=1e-12)
+        assert touched == {("e", 0), ("e", 1), ("e", 2), ("r", 0)}
+        assert_allclose(ent[0], [-1.0, 0.0], rtol=1e-12)
+        assert_allclose(ent[1], [1.0 - s, s], rtol=1e-12)
+        assert_allclose(ent[2], [s, -s], rtol=1e-12)
+        assert_allclose(rel[0], [s - 1.0, -s], rtol=1e-12)
 
     def test_inactive_hinge_returns_empty(self):
         m = _model("transe", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]])
         # f(pos) = 0 beats f(neg) = -sqrt(2) by more than the margin
-        assert grad(m, Triple(0, 0, 0), Triple(2, 0, 1), 1.0) == {}
+        g = grad(m, np.array([(0, 0, 0)]), np.array([(2, 0, 1)]), 1.0)
+        assert g.losses.tolist() == [0.0]
+        assert g.entity_rows.size == g.entity_grads.size == 0
+        assert g.relation_rows.size == g.relation_grads.size == 0
 
 
-def _fd_grads(model: KgeModel, pos: Triple, neg: Triple, margin: float,
-              eps: float = 1e-5) -> dict:
+def _fd_grads(model: KgeModel, pos, neg, margin: float, eps: float = 1e-5):
     """Central finite differences of the margin loss over both tables."""
-    out = {}
-    for space, table in (("e", model.entity_emb), ("r", model.relation_emb)):
+    out = []
+    for table in (model.entity_emb, model.relation_emb):
+        g = np.zeros_like(table)
         for row in range(table.shape[0]):
-            g = np.zeros(table.shape[1])
             for j in range(table.shape[1]):
                 orig = table[row, j]
                 table[row, j] = orig + eps
-                up = loss_margin(model, pos, neg, margin)
+                up = _loss(model, pos, neg, margin)
                 table[row, j] = orig - eps
-                dn = loss_margin(model, pos, neg, margin)
+                dn = _loss(model, pos, neg, margin)
                 table[row, j] = orig
-                g[j] = (up - dn) / (2.0 * eps)
-            out[(space, row)] = g
+                g[row, j] = (up - dn) / (2.0 * eps)
+        out.append(g)
     return out
 
 
@@ -200,22 +219,20 @@ class TestGradFiniteDifference:
             pos = Triple(0, 0, 1)
             neg = Triple(2, 0, 1)
             # need an active hinge; L1 samples must sit away from kinks
-            if loss_margin(m, pos, neg, 1.0) < 0.05:
+            if _loss(m, pos.as_tuple(), neg.as_tuple(), 1.0) < 0.05:
                 continue
             if norm == "l1" and kind in ("transe", "rotate"):
                 if min(_kink_distance(m, pos), _kink_distance(m, neg)) < 1e-3:
                     continue
-            analytic = grad(m, pos, neg, 1.0)
-            fd = _fd_grads(m, pos, neg, 1.0)
+            analytic = _dense_grads(m, pos.as_tuple(), neg.as_tuple(), 1.0)[:2]
+            fd = _fd_grads(m, pos.as_tuple(), neg.as_tuple(), 1.0)
             # shared rows can cancel to an exact analytic zero (L1 signs),
-            # so compare over every row with absent keys read as zero
-            for key, f in fd.items():
-                a = analytic.get(key, np.zeros_like(f))
-                err = np.abs(a - f)
-                tol = 1e-8 + 1e-4 * np.maximum(np.abs(a), np.abs(f))
-                assert np.all(err <= tol), (kind, norm, key)
-            for key in analytic:
-                assert key in fd
+            # and untouched rows are zero, so compare every row of both tables
+            for space, a, f in zip("er", analytic, fd):
+                for row in range(len(f)):
+                    err = np.abs(a[row] - f[row])
+                    tol = 1e-8 + 1e-4 * np.maximum(np.abs(a[row]), np.abs(f[row]))
+                    assert np.all(err <= tol), (kind, norm, space, row)
             checked += 1
 
 
@@ -331,7 +348,7 @@ def _naive_link_eval(model, kg, heldout, ks):
     for t in heldout:
         for side in ("tail", "head"):
             true_id = t.tail if side == "tail" else t.head
-            true_score = score(model, t)
+            true_score = _scores(model, t.as_tuple())[0]
             rank = 1
             for e in range(kg.num_entities):
                 if e == true_id:
@@ -343,9 +360,10 @@ def _naive_link_eval(model, kg, heldout, ks):
                 )
                 if cand.as_tuple() in known:
                     continue
-                if score(model, cand) > true_score:
+                cand_score = _scores(model, cand.as_tuple())[0]
+                if cand_score > true_score:
                     rank += 1
-                elif score(model, cand) == true_score:
+                elif cand_score == true_score:
                     rank += 0.5
             ranks.append(rank)
     arr = np.asarray(ranks, dtype=np.float64)
@@ -374,6 +392,16 @@ class TestLinkPrediction:
         model = init_model(cfg, toy_graph.num_entities, toy_graph.num_relations)
         with pytest.raises(ValueError, match="empty"):
             link_predict_eval(model, toy_graph, [])
+
+    def test_heldout_ids_out_of_range_name_the_field(self, toy_graph):
+        # 20 entities and 2 relations: each field is checked against its table
+        model = init_model(KgeTrainConfig(dim=4), 20, 2)
+        train_kg, heldout = holdout_split(toy_graph, 10, seed=5)
+        for bad, message in ((Triple(20, 0, 1), "head id 20"), (Triple(0, 2, 1), "relation id 2"),
+                             (Triple(0, 0, 20), "tail id 20"), (Triple(0, 0, -1), "tail id -1"),
+                             (Triple(-3, 0, 1), "head id -3"), (Triple(0, -1, 1), "relation id -1")):
+            with pytest.raises(ValueError, match=f"^{message} out of range$"):
+                link_predict_eval(model, train_kg, heldout[:3] + [bad] + heldout[3:])
 
     def test_perfect_model_ranks_first(self, toy_graph):
         # entities placed so each pair collapses to one point and both

@@ -2,20 +2,10 @@
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from knowfuse.cli import main
 
-from conftest import cli_sections, pair_bundle_rows, write_tsv
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def _library_snippet() -> str:
-    section = README.read_text().split("## Library use", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, flags=re.S)
-    assert match, "README has no python block under 'Library use'"
-    return match.group(1)
+from conftest import README, cli_sections, pair_bundle_rows, readme_library_snippet, write_tsv
 
 
 def test_library_snippet_runs(tmp_path, monkeypatch):
@@ -27,7 +17,7 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     ]) == 0
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
-    exec(compile(_library_snippet(), str(README), "exec"), namespace)
+    exec(compile(readme_library_snippet(), str(README), "exec"), namespace)
     assert len(namespace["hits"]) == 5
     assert namespace["label"] in (0, 1)
     assert abs(namespace["p0"] + namespace["p1"] - 1.0) < 1e-12

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -50,8 +51,8 @@ class TestTopK:
     def test_self_match_scores_one(self):
         index = _index()
         for i in (0, 17, 49):
-            query = index.store.vectors[i]
-            name, sim = top_k(index, query, 1)[0]
+            query = index.store.vectors[i : i + 1]
+            ((name, sim),) = top_k(index, query, 1)[0]
             assert name == f"c{i}"
             assert_allclose(sim, 1.0, atol=1e-6)
 
@@ -63,23 +64,15 @@ class TestTopK:
             vectors=rng.normal(size=(1000, 32)).astype(np.float32),
         )
         index = ConceptIndex(store)
-        for _ in range(100):
-            query = rng.normal(size=32)
-            got = top_k(index, query, 10)
-            want = _oracle_top_k(store, query, 10)
-            assert [n for n, _ in got] == [n for n, _ in want]
-            assert_allclose(
-                [s for _, s in got], [s for _, s in want], atol=1e-12
-            )
+        queries = rng.normal(size=(100, 32))
+        _assert_matches_oracle(store, queries, 10, top_k(index, queries, 10))
 
     @pytest.mark.parametrize("alpha", [0.5, 3.0])
     def test_scale_invariance(self, alpha):
         index = _index(seed=4)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            query = rng.normal(size=16)
-            base = top_k(index, query, 5)
-            scaled = top_k(index, alpha * query, 5)
+        queries = rng.normal(size=(20, 16))
+        for base, scaled in zip(top_k(index, queries, 5), top_k(index, alpha * queries, 5)):
             assert [n for n, _ in base] == [n for n, _ in scaled]
             assert_allclose(
                 [s for _, s in base], [s for _, s in scaled], atol=1e-12
@@ -88,8 +81,7 @@ class TestTopK:
     def test_scores_clipped_and_sorted(self):
         index = _index(seed=6)
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            got = top_k(index, rng.normal(size=16), 50)
+        for got in top_k(index, rng.normal(size=(20, 16)), 50):
             scores = [s for _, s in got]
             assert all(-1.0 <= s <= 1.0 for s in scores)
             assert scores == sorted(scores, reverse=True)
@@ -102,7 +94,7 @@ class TestTopK:
         store = EmbeddingStore(dim=2, names=["a", "b", "c", "d"], vectors=vecs)
         index = ConceptIndex(store)
         assert index.num_distinct == 3  # -0.0 equals 0.0: row 2 copies row 0
-        got = top_k(index, np.array([1.0, 0.0]), 3)
+        (got,) = top_k(index, np.array([[1.0, 0.0]]), 3)
         assert [n for n, _ in got] == ["a", "b", "c"]
 
     def test_zero_rows_excluded(self):
@@ -110,7 +102,7 @@ class TestTopK:
         store = EmbeddingStore(dim=2, names=["a", "zero", "b"], vectors=vecs)
         index = ConceptIndex(store)
         assert index.num_usable == 2
-        names = [n for n, _ in top_k(index, np.array([1.0, 1.0]), 10)]
+        names = [n for n, _ in top_k(index, np.array([[1.0, 1.0]]), 10)[0]]
         assert names == ["a", "b"]
 
     @pytest.mark.parametrize("dropped", [None, 7, "copies"])
@@ -141,16 +133,20 @@ class TestTopK:
 
     def test_k_larger_than_store_returns_all(self):
         index = _index(n=5)
-        assert len(top_k(index, np.ones(16), 99)) == 5
+        assert [len(hits) for hits in top_k(index, np.ones((2, 16)), 99)] == [5, 5]
 
     def test_validation(self):
         index = _index()
         with pytest.raises(ValueError, match="k"):
-            top_k(index, np.ones(16), 0)
+            top_k(index, np.ones((1, 16)), 0)
         with pytest.raises(ValueError, match="dim"):
-            top_k(index, np.ones(8), 3)
+            top_k(index, np.ones((1, 8)), 3)
         with pytest.raises(ValueError, match="zero"):
-            top_k(index, np.zeros(16), 3)
+            top_k(index, np.zeros((1, 16)), 3)
+        # one vector is not a block: the [1, dim] block is the single query
+        for shape in ((16,), (1, 1, 16)):
+            with pytest.raises(ValueError, match=re.escape(f"query shape {shape} is not [Q, ")):
+                top_k(index, np.ones(shape), 3)
 
 
 @st.composite
@@ -245,7 +241,6 @@ class TestBatchedTopK:
         store = EmbeddingStore(dim=2, names=["o", "a", "b", "c", "d", "e"], vectors=vecs)
         index = ConceptIndex(store)
         query = np.array([1.0, 0.0])
-        assert [n for n, _ in top_k(index, query, 3)] == ["a", "b", "c"]
         block = top_k(index, np.stack([query, query]), 3)
         assert [[n for n, _ in hits] for hits in block] == [["a", "b", "c"]] * 2
 
@@ -258,7 +253,7 @@ class TestBatchedTopK:
         monkeypatch.setattr("knowfuse.retrieval.SCORE_BLOCK_BYTES", 8 * 40 * 5)
         assert index.block_rows(7) == 5
         # Block shapes may change the last bits of a score, never the order.
-        for got in (top_k(index, queries, 7), [top_k(index, q, 7) for q in queries]):
+        for got in (top_k(index, queries, 7), [top_k(index, q[None], 7)[0] for q in queries]):
             for a, b in zip(got, whole, strict=True):
                 assert [n for n, _ in a] == [n for n, _ in b]
                 assert_allclose([s for _, s in a], [s for _, s in b], atol=1e-12)
@@ -271,10 +266,6 @@ class TestBatchedTopK:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         index = _index()
-        query = np.ones(16)
-        query[3] = bad
-        with pytest.raises(ValueError, match="query vector is not finite"):
-            top_k(index, query, 3)
         block = np.ones((4, 16))
         block[2, 5] = bad
         with pytest.raises(ValueError, match="query row 2 is not finite"):
@@ -295,31 +286,33 @@ class TestBatchedTopK:
 
 class TestCombineTextCaption:
     def test_hand_value(self):
-        got = combine_text_caption(np.array([2.0, 0.0]), np.array([0.0, 5.0]))
-        assert_allclose(got, [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], rtol=1e-12)
+        got = combine_text_caption(np.array([[2.0, 0.0]]), np.array([[0.0, 5.0]]))
+        assert_allclose(got, [[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]], rtol=1e-12)
 
     def test_unit_norm_output(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            out = combine_text_caption(rng.normal(size=12), rng.normal(size=12))
-            assert_allclose(np.linalg.norm(out), 1.0, rtol=1e-12)
+        out = combine_text_caption(rng.normal(size=(50, 12)), rng.normal(size=(50, 12)))
+        assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(9)
-        t, c = rng.normal(size=6), rng.normal(size=6)
+        t, c = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
         assert_allclose(
             combine_text_caption(t, c), combine_text_caption(c, t), rtol=1e-12
         )
 
     def test_errors(self):
         with pytest.raises(ValueError, match="text"):
-            combine_text_caption(np.zeros(4), np.ones(4))
+            combine_text_caption(np.zeros((1, 4)), np.ones((1, 4)))
         with pytest.raises(ValueError, match="caption"):
-            combine_text_caption(np.ones(4), np.zeros(4))
+            combine_text_caption(np.ones((1, 4)), np.zeros((1, 4)))
         with pytest.raises(ValueError, match="dim"):
-            combine_text_caption(np.ones(4), np.ones(5))
+            combine_text_caption(np.ones((1, 4)), np.ones((1, 5)))
         with pytest.raises(ValueError, match="cancel"):
-            combine_text_caption(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+            combine_text_caption(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
+        # one vector pair is not a block: the [1, dim] blocks are the single pair
+        with pytest.raises(ValueError, match=re.escape("(4,) are not both [Q, dim]")):
+            combine_text_caption(np.ones(4), np.ones(4))
 
     def test_batched_equals_row_by_row(self):
         rng = np.random.default_rng(12)
@@ -327,7 +320,8 @@ class TestCombineTextCaption:
         t_in, c_in = t.copy(), c.copy()
         got = combine_text_caption(t, c)
         assert got.shape == (30, 7)
-        assert_array_equal(got, np.stack([combine_text_caption(a, b) for a, b in zip(t, c)]))
+        rows = [combine_text_caption(a[None], b[None]) for a, b in zip(t, c)]
+        assert_array_equal(got, np.concatenate(rows))
         assert_array_equal(t, t_in)  # inputs are left as they were
         assert_array_equal(c, c_in)
 

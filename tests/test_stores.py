@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from knowfuse.stores import (
     read_store,
     records_to_store,
     synth_dataset,
+    write_jsonl,
     write_predictions_jsonl,
     write_records_jsonl,
     write_retrieved_jsonl,
@@ -154,6 +156,12 @@ class TestStoreErrors:
         with pytest.raises(NonFiniteError, match=r"row 1 \('b'\)"):
             EmbeddingStore(dim=2, names=["a", "b", "c"], vectors=vecs)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 1, 2), (1, 4)])
+    def test_vectors_not_n_by_dim_rejected(self, shape):
+        # 2 names x dim 2 holds 4 values, but only a [2, 2] array is accepted
+        with pytest.raises(DimMismatchError, match=re.escape(f"vectors shape {shape} ")):
+            EmbeddingStore(dim=2, names=["a", "b"], vectors=np.ones(shape, dtype=np.float32))
+
     def test_shape_mismatch(self):
         with pytest.raises(DimMismatchError):
             EmbeddingStore(
@@ -278,6 +286,27 @@ class TestRecordsJsonl:
             read_records_jsonl(path, mm_store, concept_store)
         with pytest.raises(ValueError, match="line 6: duplicate id"):
             read_concept_map(path)
+
+    @pytest.mark.parametrize("ids, distinct", [
+        ([1, True], True), ([1, 1.0], True), ([0, False], True), ([1, "1"], True),
+        ([1, 1], False), (["a", "a"], False), ([True, True], False), ([None, None], False),
+    ])
+    def test_ids_differ_by_json_type_and_value(self, tmp_path, ids, distinct):
+        records, concept_store = synth_dataset(SynthConfig(n=10, dim=8, seed=2))
+        mm_store = records_to_store(records)
+        path = tmp_path / "ids.jsonl"
+        write_jsonl(({"id": rec_id, "vec_name": "rec_0", "concept_names": ["concept_0000"],
+                      "label": 0} for rec_id in ids), path)
+        if distinct:
+            got = read_records_jsonl(path, mm_store, concept_store)
+            assert [(type(r.id), r.id) for r in got] == [(type(i), i) for i in ids]
+            read_concept_map(path)  # the same check, which passes
+        else:
+            message = re.escape(f"line 2: duplicate id {ids[0]!r} (first on line 1)")
+            with pytest.raises(ValueError, match=message):
+                read_records_jsonl(path, mm_store, concept_store)
+            with pytest.raises(ValueError, match=message):
+                read_concept_map(path)
 
     @pytest.mark.parametrize("line", [
         '{"id": ["x"], "vec_name": "rec_0", "concept_names": [], "label": 0}',
