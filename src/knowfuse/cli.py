@@ -125,7 +125,7 @@ def cmd_train_kge(args) -> None:
 
     entity_store = stores.EmbeddingStore(
         dim=cfg.dim,
-        names=graph.entity_vocab.labels,
+        names=graph.entities,
         vectors=model.entity_emb.astype(np.float32),
         kind_tag="concept",
     )
@@ -250,16 +250,20 @@ def cmd_congruence(args) -> None:
         if not (args.pairs and args.concept_store):
             raise ValueError("--pairs and --concept-store must be given together")
         concept_store = stores.read_store(args.concept_store)
+        if concept_store.dim != text_store.dim:
+            raise ValueError(f"concept store dim {concept_store.dim} differs from "
+                             f"modality dim {text_store.dim}")
         concept_map = stores.read_concept_map(args.pairs)
-        knowledge = []
-        for name in text_store.names:
+        knowledge = np.empty((text_store.n, text_store.dim))
+        for i, name in enumerate(text_store.names):
             if not concept_map.get(name):  # absent, or listed with no names
                 raise ValueError(f"no concept names for pair {name!r} in {args.pairs}")
-            knowledge.append(np.stack([concept_store.row(c) for c in concept_map[name]]))
+            rows = [concept_store.row_index(c) for c in concept_map[name]]
+            knowledge[i] = concept_store.vectors[rows].mean(axis=0, dtype=np.float64)
     pairs = cong.ModalityPairSet(
         text_vecs=text_store.vectors,
         image_vecs=image_store.vectors,
-        knowledge_vecs=knowledge,
+        knowledge=knowledge,
         ids=list(text_store.names),
     )
     rep = cong.report(pairs)

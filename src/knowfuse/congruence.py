@@ -2,7 +2,8 @@
 
 Measures how close text and image embeddings sit, before and after each
 side is pulled toward the pair's mean knowledge vector, to quantify how
-much shared knowledge context tightens the pairing.
+much shared knowledge context tightens the pairing. A pair set holds one
+knowledge mean per pair, as one [n, d] array.
 """
 from __future__ import annotations
 
@@ -20,13 +21,13 @@ HISTOGRAM_BINS = 20
 class ModalityPairSet:
     """Row i of text_vecs pairs with row i of image_vecs.
 
-    knowledge_vecs, when present, holds one [k_i, d] matrix per pair with
-    the knowledge vectors retrieved for that pair; any other shape is rejected.
+    knowledge, when present, is an [n, d] array whose row i is the mean of
+    the knowledge vectors retrieved for pair i; any other shape is rejected.
     """
 
     text_vecs: np.ndarray
     image_vecs: np.ndarray
-    knowledge_vecs: list[np.ndarray] | None = None
+    knowledge: np.ndarray | None = None
     ids: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -46,14 +47,11 @@ class ModalityPairSet:
             self.ids = [str(i) for i in range(n)]
         elif len(self.ids) != n:
             raise ValueError("one id per pair required")
-        if self.knowledge_vecs is not None:
-            if len(self.knowledge_vecs) != n:
-                raise ValueError("one knowledge matrix per pair required")
-            self.knowledge_vecs = [np.asarray(m, dtype=np.float64) for m in self.knowledge_vecs]
-            for pair, m in zip(self.ids, self.knowledge_vecs):
-                if m.ndim != 2 or m.shape[1] != d:
-                    raise ValueError(f"pair {pair!r}: knowledge matrix {m.shape} is not [k, {d}] "
-                                     f"for modality vectors {self.text_vecs.shape}")
+        if self.knowledge is not None:
+            self.knowledge = np.asarray(self.knowledge, dtype=np.float64)
+            if self.knowledge.shape != (n, d):
+                raise ValueError(f"knowledge means {self.knowledge.shape} are not "
+                                 f"[{n}, {d}] like the modality vectors")
 
     @property
     def n(self) -> int:
@@ -118,13 +116,9 @@ def augment_with_knowledge(pairs: ModalityPairSet) -> ModalityPairSet:
     knowledge mean has zero norm, or an augmented vector degenerates to
     zero.
     """
-    if pairs.knowledge_vecs is None:
+    km = pairs.knowledge
+    if km is None:
         raise ValueError("pair set has no knowledge vectors")
-    km = np.empty_like(pairs.text_vecs)
-    for i, (pair, mat) in enumerate(zip(pairs.ids, pairs.knowledge_vecs)):
-        if mat.shape[0] == 0:
-            raise ValueError(f"pair {pair!r}: empty knowledge matrix")
-        km[i] = mat.mean(axis=0)
 
     def _unit(vecs: np.ndarray, what: str) -> np.ndarray:
         norms = np.linalg.norm(vecs, axis=1)
@@ -137,7 +131,7 @@ def augment_with_knowledge(pairs: ModalityPairSet) -> ModalityPairSet:
     return ModalityPairSet(
         text_vecs=_unit(0.5 * (pairs.text_vecs + km), "augmented vector"),
         image_vecs=_unit(0.5 * (pairs.image_vecs + km), "augmented vector"),
-        knowledge_vecs=pairs.knowledge_vecs,
+        knowledge=km,
         ids=list(pairs.ids),
     )
 
@@ -172,7 +166,7 @@ def report(pairs: ModalityPairSet) -> CongruenceReport:
         ids=list(pairs.ids),
         cosines=cosines,
     )
-    if pairs.knowledge_vecs is not None:
+    if pairs.knowledge is not None:
         augmented = augment_with_knowledge(pairs)
         rep.cosines_with = pairwise_cosines(augmented)
         _, rep.histogram_counts_with = _histogram(rep.cosines_with)

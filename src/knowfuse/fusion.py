@@ -309,8 +309,6 @@ def warmup_lr(step: int, total_steps: int, warmup_steps: int, base_lr: float) ->
         raise ValueError(f"step {step} outside [1, {total_steps}]")
     if warmup_steps > 0 and step <= warmup_steps:
         return base_lr * step / warmup_steps
-    if total_steps == warmup_steps:
-        return 0.0
     return base_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 

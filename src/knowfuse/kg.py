@@ -1,9 +1,9 @@
 """Knowledge-graph triple store.
 
 Loads (head, relation, tail) triples from plain TSV or ConceptNet-style CSV
-dumps, with first-appearance vocabularies, into one int64 [n, 3] array of
-distinct ids in file order; `known_set` and membership derive from it.
-`corrupt` draws filtered negatives for [B, 3] id arrays.
+dumps into one int64 [n, 3] array of distinct ids in file order, with entity
+and relation label lists indexed by id; `known_set` and membership derive
+from the array. `corrupt` draws filtered negatives for [B, 3] id arrays.
 """
 from __future__ import annotations
 
@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 HEAD = "head"
 TAIL = "tail"
 
+# Uniform resampling rounds `corrupt` tries before its explicit fallback.
+CORRUPT_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class Triple:
@@ -34,50 +37,23 @@ class Triple:
         return (self.head, self.relation, self.tail)
 
 
-class Vocab:
-    """Bidirectional label <-> dense id map, ids assigned in insertion order."""
-
-    def __init__(self) -> None:
-        self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
-
-    def add(self, label: str) -> int:
-        """Return the id for label, assigning the next dense id if new."""
-        idx = self._ids.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._ids[label] = idx
-            self._labels.append(label)
-        return idx
-
-    def label(self, idx: int) -> str:
-        return self._labels[idx]
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-
 @dataclass
 class KnowledgeGraph:
     """Distinct triples as one int64 [n, 3] id array, in file order, plus the
-    vocabularies their ids index."""
+    entity and relation labels their ids index."""
 
     triples: np.ndarray
-    entity_vocab: Vocab
-    relation_vocab: Vocab
+    entities: list[str]
+    relations: list[str]
     duplicates_dropped: int = 0
 
     @property
     def num_entities(self) -> int:
-        return len(self.entity_vocab)
+        return len(self.entities)
 
     @property
     def num_relations(self) -> int:
-        return len(self.relation_vocab)
+        return len(self.relations)
 
     @property
     def known_set(self) -> frozenset[tuple[int, int, int]]:
@@ -146,16 +122,17 @@ def _parse_row(line: str, fmt: str, lineno: int) -> tuple[str, str, str]:
 def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
     """Load a triples file into a KnowledgeGraph.
 
-    Vocabulary ids are dense, starting at 0, assigned in first-appearance
-    order (head before tail within a row). Duplicate rows after parsing are
-    dropped and counted. Lines that are blank or start with '#' are skipped.
+    Entity and relation ids are dense, starting at 0, assigned in
+    first-appearance order (head before tail within a row); each id indexes
+    its label list. Duplicate rows after parsing are dropped and counted.
+    Lines that are blank or start with '#' are skipped.
 
     Raises TripleLoadError on malformed rows (with the line number) and on
     files that yield no triples at all.
     """
     path = Path(path)
-    entity_vocab = Vocab()
-    relation_vocab = Vocab()
+    ents: dict[str, int] = {}  # label -> id, in first-appearance order
+    rels: dict[str, int] = {}
     rows: dict[tuple[int, int, int], None] = {}  # insertion-ordered distinct rows
     parsed = 0
 
@@ -165,7 +142,8 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             h, r, t = _parse_row(line, fmt, lineno)
-            rows[entity_vocab.add(h), relation_vocab.add(r), entity_vocab.add(t)] = None
+            rows[ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)),
+                 ents.setdefault(t, len(ents))] = None
             parsed += 1
 
     if not rows:
@@ -176,8 +154,8 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
 
     return KnowledgeGraph(
         triples=np.array(list(rows), dtype=np.int64),
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
+        entities=list(ents),
+        relations=list(rels),
         duplicates_dropped=duplicates,
     )
 
@@ -187,16 +165,15 @@ def corrupt(
     sides: np.ndarray,
     rng: np.random.Generator,
     kg: KnowledgeGraph,
-    max_attempts: int = 100,
 ) -> np.ndarray:
     """Corrupt one side of each row of an [B, 3] id array into a filtered
     negative; `sides` holds the B sides, 'head' or 'tail'.
 
     Each round resamples an entity uniformly for every row still rejected: a
     draw is rejected when it equals the row's original entity or makes a
-    known true triple. When max_attempts rounds all fail for a row, as they
-    can for a hub entity in a dense graph, one draw from the explicit list of
-    its filtered candidates decides. Returns the B negatives as an array;
+    known true triple. When CORRUPT_ATTEMPTS rounds all fail for a row, as
+    they can for a hub entity in a dense graph, one draw from the explicit
+    list of its filtered candidates decides. Returns the B negatives as an array;
     raises CorruptionError, naming the triple, only when no candidate exists.
     """
     n = kg.num_entities
@@ -208,7 +185,7 @@ def corrupt(
     ids = np.asarray(triples, dtype=np.int64)
     out, col, todo = ids.copy(), np.where(sides == HEAD, 0, 2), np.arange(len(ids))
     original = ids[todo, col]
-    for _ in range(max_attempts):
+    for _ in range(CORRUPT_ATTEMPTS):
         if not todo.size:
             break
         candidates = rng.integers(0, n, size=todo.size)
@@ -230,7 +207,7 @@ def corrupt(
 def holdout_split(
     kg: KnowledgeGraph, count: int, seed: int
 ) -> tuple[KnowledgeGraph, list[Triple]]:
-    """Split off `count` triples for evaluation, keeping vocabularies intact.
+    """Split off `count` triples for evaluation, keeping the label lists intact.
 
     The training graph keeps the remaining triples in their original order.
     """

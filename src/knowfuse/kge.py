@@ -40,6 +40,9 @@ SCORE_BLOCK_BYTES = 512 * 1024
 # (positive, negative) pairs per SGD step.
 BATCH_SIZE = 32
 
+# The k of each hits@k that link prediction reports.
+HITS_AT = (1, 3, 10)
+
 
 class BatchGrad(NamedTuple):
     """Each pair's hinge loss, and the rows the active pairs use (repeats
@@ -232,7 +235,6 @@ def link_predict_eval(
     model: KgeModel,
     kg: KnowledgeGraph,
     heldout: list[Triple],
-    ks: tuple[int, ...] = (1, 3, 10),
 ) -> LinkPredictionResult:
     """Filtered link prediction over held-out triples.
 
@@ -242,11 +244,11 @@ def link_predict_eval(
     removed. The rank is the expected rank under random tie-breaking:
     1 + surviving candidates scoring strictly higher + half the surviving
     candidates scoring exactly the same, so a model that scores everything
-    alike ranks in the middle, not first. hits@k counts ranks <= k. Head
-    queries are symmetric. Blocks of queries fit SCORE_BLOCK_BYTES. Raises
-    ValueError, naming the field, on a held-out id outside the model's
-    tables, and NonFiniteScoreError, naming the held-out triple, when a
-    query has a NaN or infinite score.
+    alike ranks in the middle, not first. hits@k counts ranks <= k, for
+    each k in HITS_AT. Head queries are symmetric. Blocks of queries fit
+    SCORE_BLOCK_BYTES. Raises ValueError, naming the field, on a held-out
+    id outside the model's tables, and NonFiniteScoreError, naming the
+    held-out triple, when a query has a NaN or infinite score.
     """
     if not heldout:
         raise ValueError("heldout set is empty")
@@ -298,15 +300,15 @@ def link_predict_eval(
             ranks[a : a + rows, j] = 1.0 + better + np.count_nonzero(scores == true, axis=1) / 2.0
         if not finite.all():
             i, j = divmod(int(np.argmin(finite)), 2)
-            t, label = heldout[a + i], kg.entity_vocab.label
+            t, ents = heldout[a + i], kg.entities
             raise NonFiniteScoreError(
                 f"non-finite score in the {(TAIL, HEAD)[j]} query of held-out triple "
-                f"({label(t.head)}, {kg.relation_vocab.label(t.relation)}, {label(t.tail)})"
+                f"({ents[t.head]}, {kg.relations[t.relation]}, {ents[t.tail]})"
             )
 
     ranks = ranks.reshape(-1)
     return LinkPredictionResult(
         mean_rank=float(ranks.mean()),
-        hits_at={k: float(np.mean(ranks <= k)) for k in ks},
+        hits_at={k: float(np.mean(ranks <= k)) for k in HITS_AT},
         num_queries=len(ranks),
     )

@@ -1,4 +1,5 @@
-"""Binary classification metrics: precision, recall, F1, ROC AUC.
+"""Binary classification metrics: precision, recall, F1, ROC AUC, held
+flat beside the tp/fp/tn/fn counts in one EvalResult.
 
 Zero-denominator convention: a metric whose denominator is zero is 1.0 when
 its condition is vacuously satisfied (no predicted positives and no actual
@@ -6,17 +7,9 @@ positives at the same time) and 0.0 otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
-
-@dataclass
-class Confusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
 
 
 @dataclass
@@ -25,19 +18,13 @@ class EvalResult:
     recall: float
     f1: float
     auc: float | None
-    confusion: Confusion
+    tp: int
+    fp: int
+    tn: int
+    fn: int
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "tp": self.confusion.tp,
-            "fp": self.confusion.fp,
-            "tn": self.confusion.tn,
-            "fn": self.confusion.fn,
-        }
+        return asdict(self)
 
 
 def _check_binary(values: np.ndarray, what: str) -> None:
@@ -69,13 +56,8 @@ def classify_metrics(labels, predictions) -> EvalResult:
         if precision + recall > 0
         else 0.0
     )
-    return EvalResult(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=None,
-        confusion=Confusion(tp=tp, fp=fp, tn=tn, fn=fn),
-    )
+    return EvalResult(precision=precision, recall=recall, f1=f1, auc=None,
+                      tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def auc(labels, scores) -> float:

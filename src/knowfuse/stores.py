@@ -385,8 +385,14 @@ def read_records_jsonl(
 
 def read_concept_map(path: str | Path) -> dict[str, list[str]]:
     """id -> concept_names from a records-style JSONL, other fields ignored;
-    rejects what read_records_jsonl rejects in those two fields."""
-    return {rec_id: names for _, rec_id, names in _records_style_rows(path)}
+    rejects what read_records_jsonl rejects in those two fields, and an id
+    that is not a string, since each id names a store row."""
+    concept_map = {}
+    for lineno, rec_id, names in _records_style_rows(path):
+        if not isinstance(rec_id, str):
+            raise ValueError(f"{path}: line {lineno}: id {rec_id!r} is not a string")
+        concept_map[rec_id] = names
+    return concept_map
 
 
 @dataclass

@@ -294,12 +294,9 @@ def test_criterion_07_midpoint_knowledge_increases_congruence():
             rng = np.random.default_rng(seed)
             text = rng.normal(size=(500, 32))
             image = rng.normal(size=(500, 32))
-            knowledge = [
-                (0.5 * (text[i] + image[i]))[None, :] for i in range(500)
-            ]
             rep = congruence.report(
                 congruence.ModalityPairSet(
-                    text_vecs=text, image_vecs=image, knowledge_vecs=knowledge
+                    text_vecs=text, image_vecs=image, knowledge=0.5 * (text + image)
                 )
             )
             assert rep.relative_similarity_change > 0.0, seed
@@ -315,8 +312,7 @@ def test_criterion_08_metrics_match_oracles():
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         preds = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]
         r = metrics.classify_metrics(labels, preds)
-        assert (r.confusion.tp, r.confusion.fp, r.confusion.fn, r.confusion.tn) \
-            == (3, 1, 2, 4)
+        assert (r.tp, r.fp, r.fn, r.tn) == (3, 1, 2, 4)
         assert_allclose(r.precision, 0.75, rtol=1e-12)
         assert_allclose(r.recall, 0.6, rtol=1e-12)
         assert_allclose(r.f1, 2.0 / 3.0, rtol=1e-12)

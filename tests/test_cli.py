@@ -677,7 +677,8 @@ class TestCongruence:
     def test_augments_once_with_library_outputs(self, modality_files, tmp_path, monkeypatch):
         text, image = read_store(modality_files["text"]), read_store(modality_files["image"])
         concepts = read_store(modality_files["concepts"])
-        knowledge = [np.stack([concepts.row("c0"), concepts.row("c2")])] * text.n
+        mean = np.stack([concepts.row("c0"), concepts.row("c2")]).astype(np.float64).mean(axis=0)
+        knowledge = np.tile(mean, (text.n, 1))
         pairs = congruence.ModalityPairSet(text.vectors, image.vectors, knowledge,
                                            list(text.names))
         want_csv = tmp_path / "want.csv"
@@ -743,7 +744,7 @@ class TestCongruence:
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_concepts_of_another_dim_are_named(self, modality_files, tmp_path, capsys, dim):
-        # Two 3-d concepts per pair fill one 6-d row once reshaped; two 4-d ones fill none.
+        # 3 divides the modality dim 6 and 4 does not: both are rejected before any pair is read.
         concepts = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(5)],
                                   vectors=np.ones((5, dim), dtype=np.float32))
         write_store(concepts, modality_files["concepts"])
@@ -754,8 +755,8 @@ class TestCongruence:
             "--concept-store", str(modality_files["concepts"]),
             "--pairs", str(modality_files["pairs"]), "--out", str(out),
         ]) == 1
-        assert capsys.readouterr().err == (f"error: pair 'pair0': knowledge matrix (2, {dim}) "
-                                           "is not [k, 6] for modality vectors (8, 6)\n")
+        assert capsys.readouterr().err == (f"error: concept store dim {dim} differs from "
+                                           "modality dim 6\n")
         assert not (out / "congruence.json").exists()
 
     def test_pairs_without_concepts_exits_one(self, modality_files, tmp_path):

@@ -23,8 +23,8 @@ def _random_pairs(n: int, d: int, seed: int, with_knowledge: bool = True):
     image = rng.normal(size=(n, d))
     knowledge = None
     if with_knowledge:
-        knowledge = [rng.normal(size=(int(rng.integers(1, 4)), d)) for _ in range(n)]
-    return ModalityPairSet(text_vecs=text, image_vecs=image, knowledge_vecs=knowledge)
+        knowledge = [rng.normal(size=(int(rng.integers(1, 4)), d)).mean(axis=0) for _ in range(n)]
+    return ModalityPairSet(text_vecs=text, image_vecs=image, knowledge=knowledge)
 
 
 class TestPairwiseCosines:
@@ -59,7 +59,7 @@ class TestAugmentWithKnowledge:
         pairs = ModalityPairSet(
             text_vecs=[[1.0, 0.0]],
             image_vecs=[[0.0, 1.0]],
-            knowledge_vecs=[[[1.0, 1.0]]],
+            knowledge=[[1.0, 1.0]],
         )
         aug = augment_with_knowledge(pairs)
         assert_allclose(aug.text_vecs[0], np.array([1.0, 0.5]) / np.sqrt(1.25))
@@ -70,7 +70,7 @@ class TestAugmentWithKnowledge:
         pairs = ModalityPairSet(
             text_vecs=[[1.0, 0.0, 0.0]],
             image_vecs=[[0.0, 1.0, 0.0]],
-            knowledge_vecs=[[[0.0, 0.0, 1.0]]],
+            knowledge=[[0.0, 0.0, 1.0]],
         )
         assert_allclose(pairwise_cosines(augment_with_knowledge(pairs))[0], 0.5,
                         rtol=1e-12)
@@ -80,7 +80,7 @@ class TestAugmentWithKnowledge:
         pairs = ModalityPairSet(
             text_vecs=[[1.0, 0.0]],
             image_vecs=[[0.0, 1.0]],
-            knowledge_vecs=[[[2.0, 0.0], [0.0, 2.0]]],
+            knowledge=[np.mean([[2.0, 0.0], [0.0, 2.0]], axis=0)],
         )
         assert_allclose(pairwise_cosines(augment_with_knowledge(pairs))[0], 0.8,
                         rtol=1e-12)
@@ -99,7 +99,7 @@ class TestAugmentWithKnowledge:
         pairs = ModalityPairSet(
             text_vecs=[[1.0, 0.0]],
             image_vecs=[[0.0, 1.0]],
-            knowledge_vecs=[[[1.0, 0.0], [-1.0, 0.0]]],
+            knowledge=[np.mean([[1.0, 0.0], [-1.0, 0.0]], axis=0)],
         )
         with pytest.raises(ValueError, match="zero norm"):
             augment_with_knowledge(pairs)
@@ -108,37 +108,35 @@ class TestAugmentWithKnowledge:
         pairs = ModalityPairSet(
             text_vecs=[[-1.0, -1.0]],
             image_vecs=[[0.0, 1.0]],
-            knowledge_vecs=[[[1.0, 1.0]]],
+            knowledge=[[1.0, 1.0]],
         )
         with pytest.raises(ValueError, match="augmented"):
             augment_with_knowledge(pairs)
 
     @pytest.mark.parametrize("bad, message", [
         ([[1.0, 0.0], [-1.0, 0.0]], "knowledge mean has zero norm"),
-        (np.zeros((0, 2)), "empty knowledge matrix"),
         ([[-1.0, 0.0]], "augmented vector has zero norm"),
-    ], ids=["zero-mean", "empty", "cancelled"])
+    ], ids=["zero-mean", "cancelled"])
     def test_failing_pair_is_named_by_id(self, bad, message):
         # the third pair fails, and its id is not its position
         pairs = ModalityPairSet(
             text_vecs=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
             image_vecs=[[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-            knowledge_vecs=[[[1.0, 1.0]], [[1.0, 1.0]], bad],
+            knowledge=[[1.0, 1.0], [1.0, 1.0], np.mean(bad, axis=0)],
             ids=["camp_b", "camp_a", "camp_c"],
         )
         with pytest.raises(ValueError, match=f"^pair 'camp_c': {message}$"):
             augment_with_knowledge(pairs)
 
-    @pytest.mark.parametrize("shape", [(3, 8), (3, 7), (12,)])
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 12), (24,)])
     def test_knowledge_of_another_width_is_named(self, shape):
-        # 3 concepts of 8 values are 24 values: two rows of 12 once reshaped.
+        # 24 values are two rows of 12 once reshaped; only [2, 12] is accepted.
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError) as err:
             ModalityPairSet(text_vecs=rng.normal(size=(2, 12)), image_vecs=rng.normal(size=(2, 12)),
-                            knowledge_vecs=[rng.normal(size=(2, 12)), rng.normal(size=shape)],
-                            ids=["a", "b"])
-        assert str(err.value) == (f"pair 'b': knowledge matrix {shape} is not [k, 12] "
-                                  "for modality vectors (2, 12)")
+                            knowledge=rng.normal(size=shape), ids=["a", "b"])
+        assert str(err.value) == (f"knowledge means {shape} are not [2, 12] "
+                                  "like the modality vectors")
 
 
 class TestReport:
@@ -174,7 +172,7 @@ class TestReport:
         rotated = ModalityPairSet(
             text_vecs=pairs.text_vecs @ q.T,
             image_vecs=pairs.image_vecs @ q.T,
-            knowledge_vecs=[m @ q.T for m in pairs.knowledge_vecs],
+            knowledge=pairs.knowledge @ q.T,
         )
         a, b = report(pairs), report(rotated)
         assert_allclose(b.centroid_distance, a.centroid_distance, rtol=1e-9)
@@ -189,11 +187,8 @@ class TestReport:
             rng = np.random.default_rng(seed)
             text = rng.normal(size=(50, 16))
             image = rng.normal(size=(50, 16))
-            knowledge = [
-                (0.5 * (text[i] + image[i]))[None, :] for i in range(50)
-            ]
             pairs = ModalityPairSet(
-                text_vecs=text, image_vecs=image, knowledge_vecs=knowledge
+                text_vecs=text, image_vecs=image, knowledge=0.5 * (text + image)
             )
             rep = report(pairs)
             assert rep.relative_similarity_change > 0.0

@@ -1,4 +1,4 @@
-"""Triple loading, vocab construction, corruption, and holdout splitting."""
+"""Triple loading, label lists, corruption, and holdout splitting."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -29,8 +29,8 @@ class TestLoadTriples:
             tmp_path / "t.tsv",
         )
         kg = load_triples(path)
-        assert kg.entity_vocab.labels == ["dog", "animal", "cat", "thing"]
-        assert kg.relation_vocab.labels == ["isa"]
+        assert kg.entities == ["dog", "animal", "cat", "thing"]
+        assert kg.relations == ["isa"]
         assert kg.triples.dtype == np.int64 and kg.triples.flags.c_contiguous
         assert np.array_equal(kg.triples, [[0, 0, 1], [2, 0, 1], [1, 0, 3]])
 
@@ -78,8 +78,8 @@ class TestLoadTriples:
             "/r/IsA,/c/en/cat,/c/en/animal\n"
         )
         kg = load_triples(path, fmt="conceptnet-csv")
-        assert kg.entity_vocab.labels == ["dog", "animal", "cat"]
-        assert kg.relation_vocab.labels == ["RelatedTo", "IsA"]
+        assert kg.entities == ["dog", "animal", "cat"]
+        assert kg.relations == ["RelatedTo", "IsA"]
         assert np.array_equal(kg.triples, [[0, 0, 1], [2, 1, 1]])
 
     def test_conceptnet_part_of_speech_suffix_keeps_term(self, tmp_path):
@@ -89,16 +89,16 @@ class TestLoadTriples:
             "/r/IsA,/c/en/cat/n,/c/en/concept_00123\n"
         )
         kg = load_triples(path, fmt="conceptnet-csv")
-        assert kg.entity_vocab.labels == ["dog", "animal", "cat", "concept_00123"]
-        assert kg.relation_vocab.labels == ["IsA"]
+        assert kg.entities == ["dog", "animal", "cat", "concept_00123"]
+        assert kg.relations == ["IsA"]
         assert len(kg.triples) == 2
 
     def test_conceptnet_tab_separated_variant(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("/r/IsA\t/c/en/dog\t/c/en/animal\n")
         kg = load_triples(path, fmt="conceptnet-csv")
-        assert kg.relation_vocab.labels == ["IsA"]
-        assert kg.entity_vocab.labels == ["dog", "animal"]
+        assert kg.relations == ["IsA"]
+        assert kg.entities == ["dog", "animal"]
 
 
 class TestToyGraphShape:
@@ -137,15 +137,16 @@ class TestCorrupt:
             corrupt(toy_graph.triples[:2], np.array([HEAD, "left"]),
                     np.random.default_rng(0), toy_graph)
 
-    def test_explicit_complement_after_failed_draws(self, toy_graph):
+    def test_explicit_complement_after_failed_draws(self, toy_graph, monkeypatch):
         # with no uniform draws the fallback alone picks each row's negative
+        monkeypatch.setattr("knowfuse.kg.CORRUPT_ATTEMPTS", 0)
         rows = np.repeat(toy_graph.triples[:1], 200, axis=0)
         for side in (HEAD, TAIL):
             sides = np.full(len(rows), side)
-            negs = corrupt(rows, sides, np.random.default_rng(3), toy_graph, max_attempts=0)
+            negs = corrupt(rows, sides, np.random.default_rng(3), toy_graph)
             assert not set(map(tuple, negs.tolist())) & toy_graph.known_set
             assert len(np.unique(negs, axis=0)) > 1
-            again = corrupt(rows, sides, np.random.default_rng(3), toy_graph, max_attempts=0)
+            again = corrupt(rows, sides, np.random.default_rng(3), toy_graph)
             assert np.array_equal(again, negs)
 
     def test_dense_hub_trains(self, tmp_path, monkeypatch):
@@ -159,8 +160,8 @@ class TestCorrupt:
         assert kg.num_entities == 211
         negatives = []
 
-        def recording(triples, sides, rng, graph, max_attempts=100):
-            neg = corrupt(triples, sides, rng, graph, max_attempts)
+        def recording(triples, sides, rng, graph):
+            neg = corrupt(triples, sides, rng, graph)
             negatives.extend(map(tuple, neg.tolist()))  # the trainer corrupts a batch per call
             return neg
 
@@ -191,8 +192,8 @@ class TestHoldoutSplit:
     def test_vocab_preserved_and_known_set_rebuilt(self, toy_graph):
         toy_graph.known_keys  # a parent's cached keys must not reach the split
         train, heldout = holdout_split(toy_graph, 10, seed=7)
-        assert train.entity_vocab.labels == toy_graph.entity_vocab.labels
-        assert train.relation_vocab.labels == toy_graph.relation_vocab.labels
+        assert train.entities == toy_graph.entities
+        assert train.relations == toy_graph.relations
         held = np.array([t.as_tuple() for t in heldout])
         assert toy_graph.is_known(held).all()
         assert not train.is_known(held).any() and train.is_known(train.triples).all()
@@ -244,7 +245,7 @@ class TestReaderProperty:
             ids = (ents.index(h), rels.index(r), ents.index(t))
             if ids not in distinct:
                 distinct.append(ids)
-        assert kg.entity_vocab.labels == ents and kg.relation_vocab.labels == rels
+        assert kg.entities == ents and kg.relations == rels
         assert kg.triples.dtype == np.int64 and kg.triples.shape == (len(distinct), 3)
         assert kg.triples.tolist() == [list(ids) for ids in distinct]
         assert kg.duplicates_dropped == len(rows) - len(distinct)

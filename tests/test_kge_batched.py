@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import kge_reference as ref
-from knowfuse import kge
+from knowfuse import kg, kge
 from knowfuse.errors import CorruptionError, NonFiniteScoreError, TrainingDivergedError
-from knowfuse.kg import HEAD, TAIL, KnowledgeGraph, Triple, Vocab, corrupt, holdout_split
+from knowfuse.kg import HEAD, TAIL, KnowledgeGraph, Triple, corrupt, holdout_split
 from knowfuse.kge import KgeModel, KgeTrainConfig
 
 CASES = [("transe", "l2"), ("transe", "l1"), ("rotate", "l2"), ("rotate", "l1"),
@@ -31,13 +31,9 @@ def _model(kind, norm, rng, n_ent, n_rel, dim) -> KgeModel:
 
 
 def _graph(triples, n_ent: int, n_rel: int) -> KnowledgeGraph:
-    ents, rels = Vocab(), Vocab()
-    for i in range(n_ent):
-        ents.add(f"e{i}")
-    for i in range(n_rel):
-        rels.add(f"r{i}")
     return KnowledgeGraph(triples=np.array(triples, dtype=np.int64).reshape(-1, 3),
-                          entity_vocab=ents, relation_vocab=rels)
+                          entities=[f"e{i}" for i in range(n_ent)],
+                          relations=[f"r{i}" for i in range(n_rel)])
 
 
 @st.composite
@@ -113,7 +109,7 @@ class TestRanking:
             model.entity_emb[:] = 0.5
             model.relation_emb[:] = 0.25
         with mock.patch.object(kge, "SCORE_BLOCK_BYTES", budget):  # 1 to 65,536 rows a block
-            got = kge.link_predict_eval(model, train_kg, heldout, ks=(1, 3, 10))
+            got = kge.link_predict_eval(model, train_kg, heldout)
         oracles = [ref.link_predict_eval_per_candidate]
         if not (kind == "distmult" and plant == "duplicates"):
             # its matrix-vector product may round identical rows apart
@@ -153,7 +149,8 @@ class TestBatchedCorrupt:
         attempts = data.draw(st.sampled_from([0, 1, 100]))
         rng = np.random.default_rng(seed)
         try:
-            neg = corrupt(ids, sides, rng, graph, max_attempts=attempts)
+            with mock.patch.object(kg, "CORRUPT_ATTEMPTS", attempts):
+                neg = corrupt(ids, sides, rng, graph)
         except CorruptionError:  # a saturated row has no negative at all
             return
         col = np.where(sides == HEAD, 0, 2)
@@ -169,18 +166,19 @@ class TestBatchedCorrupt:
            attempts=st.sampled_from([0, 1, 3, 100]))
     def test_one_row_matches_single_triple_draws(self, graph, seed, attempts):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for ids in graph.triples:
-            side = HEAD if a.random() < 0.5 else TAIL
-            b.random(1)
-            row, sides = ids[None], np.array([side])
-            try:
-                want = ref.corrupt(Triple(*ids.tolist()), side, a, graph, attempts)
-            except CorruptionError:
-                with pytest.raises(CorruptionError):
-                    corrupt(row, sides, b, graph, attempts)
-                return
-            got = corrupt(row, sides, b, graph, attempts)
-            assert tuple(got[0].tolist()) == want.as_tuple()
+        with mock.patch.object(kg, "CORRUPT_ATTEMPTS", attempts):
+            for ids in graph.triples:
+                side = HEAD if a.random() < 0.5 else TAIL
+                b.random(1)
+                row, sides = ids[None], np.array([side])
+                try:
+                    want = ref.corrupt(Triple(*ids.tolist()), side, a, graph, attempts)
+                except CorruptionError:
+                    with pytest.raises(CorruptionError):
+                        corrupt(row, sides, b, graph)
+                    return
+                got = corrupt(row, sides, b, graph)
+                assert tuple(got[0].tolist()) == want.as_tuple()
         assert a.random() == b.random()
 
     def test_rejects_bad_side(self, toy_graph):
@@ -188,12 +186,12 @@ class TestBatchedCorrupt:
             corrupt(toy_graph.triples[:1], np.array(["left"]), np.random.default_rng(0), toy_graph)
 
     def test_key_overflow_guarded(self):
-        class Huge(Vocab):
+        class Huge(list):
             def __len__(self):
                 return 2**32
 
-        graph = KnowledgeGraph(triples=np.empty((0, 3), dtype=np.int64), entity_vocab=Huge(),
-                               relation_vocab=Huge())
+        graph = KnowledgeGraph(triples=np.empty((0, 3), dtype=np.int64), entities=Huge(),
+                               relations=Huge())
         with pytest.raises(ValueError, match="overflow"):
             graph.triple_keys([(0, 0, 1)])
 
@@ -207,8 +205,8 @@ class TestMinibatchTrainer:
                              negatives_per_positive=negatives, seed=3)
         drawn, oracle_drawn, oracle_corrupt = [], [], ref.corrupt
 
-        def recording(triples, sides, rng, graph, max_attempts=100):
-            neg = corrupt(triples, sides, rng, graph, max_attempts)
+        def recording(triples, sides, rng, graph):
+            neg = corrupt(triples, sides, rng, graph)
             drawn.extend(map(tuple, neg.tolist()))
             return neg
 

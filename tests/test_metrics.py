@@ -51,8 +51,8 @@ class TestClassifyMetrics:
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         preds_ = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]
         r = classify_metrics(labels, preds_)
-        assert (r.confusion.tp, r.confusion.fp) == (3, 1)
-        assert (r.confusion.fn, r.confusion.tn) == (2, 4)
+        assert (r.tp, r.fp) == (3, 1)
+        assert (r.fn, r.tn) == (2, 4)
         assert_allclose(r.precision, 0.75, rtol=1e-12)
         assert_allclose(r.recall, 0.6, rtol=1e-12)
         assert_allclose(r.f1, 2.0 / 3.0, rtol=1e-12)

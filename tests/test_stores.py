@@ -297,16 +297,26 @@ class TestRecordsJsonl:
         path = tmp_path / "ids.jsonl"
         write_jsonl(({"id": rec_id, "vec_name": "rec_0", "concept_names": ["concept_0000"],
                       "label": 0} for rec_id in ids), path)
+        message = re.escape(f"line 2: duplicate id {ids[0]!r} (first on line 1)")
         if distinct:
             got = read_records_jsonl(path, mm_store, concept_store)
             assert [(type(r.id), r.id) for r in got] == [(type(i), i) for i in ids]
-            read_concept_map(path)  # the same check, which passes
         else:
-            message = re.escape(f"line 2: duplicate id {ids[0]!r} (first on line 1)")
             with pytest.raises(ValueError, match=message):
                 read_records_jsonl(path, mm_store, concept_store)
-            with pytest.raises(ValueError, match=message):
-                read_concept_map(path)
+        if not isinstance(ids[0], str):  # a pair id names a store row
+            message = re.escape(f"line 1: id {ids[0]!r} is not a string")
+        with pytest.raises(ValueError, match=message):
+            read_concept_map(path)
+
+    @pytest.mark.parametrize("bad", [1, True, 1.0, None])
+    def test_concept_map_rejects_non_string_id(self, tmp_path, bad):
+        # 1 and true would otherwise share one dict key, the later line winning
+        path = tmp_path / "pairs.jsonl"
+        write_jsonl([{"id": "a", "concept_names": ["x"]}, {"id": bad, "concept_names": ["y"]},
+                     {"id": 1 if bad is True else True, "concept_names": ["z"]}], path)
+        with pytest.raises(ValueError, match=re.escape(f"line 2: id {bad!r} is not a string")):
+            read_concept_map(path)
 
     @pytest.mark.parametrize("line", [
         '{"id": ["x"], "vec_name": "rec_0", "concept_names": [], "label": 0}',
