@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,8 @@ def _build(cls, args, stage: str, **fixed):
 
 
 def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
-    """Shuffle and split by the configured split shape, scaled to n."""
+    """Shuffle and split by the configured split shape, scaled to n. Each
+    split must hold both labels, for its AUC."""
     if not isinstance(shape, dict) or sorted(shape) != ["test", "train", "val"]:
         raise ValueError(f"splits must be an object of exactly train, val and test, got {shape!r}")
     for key, value in shape.items():
@@ -96,10 +97,13 @@ def _split_records(records, seed: int, shape: dict) -> tuple[list, list, list]:
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"{n} records are too few to split {shape}")
     order = np.random.default_rng(derive_seed(seed, "split")).permutation(n)
-    train = [records[i] for i in order[:n_train]]
-    val = [records[i] for i in order[n_train : n_train + n_val]]
-    test = [records[i] for i in order[n_train + n_val :]]
-    return train, val, test
+    splits = [[records[i] for i in rows] for rows in np.split(order, [n_train, n_train + n_val])]
+    for name, split in zip(("train", "val", "test"), splits):
+        labels = {r.label for r in split}
+        if len(labels) < 2:
+            raise ValueError(f"all {len(split)} records of the {name} split have label "
+                             f"{labels.pop()}; each split needs both labels")
+    return tuple(splits)
 
 
 def cmd_synth(args) -> None:
@@ -212,10 +216,7 @@ def cmd_train_fusion(args) -> None:
     evaluation = {**result.evaluation, "test": fusion.evaluate_records(
         result.net, test, concept_store, result.concept_vectors)}
     for split_name, (labels, preds, scores) in evaluation.items():
-        ev = metrics.evaluate(labels, preds, scores)
-        entry = ev.to_dict()
-        entry["accuracy"] = float(np.mean(labels == preds))
-        summary[split_name] = entry
+        summary[split_name] = asdict(metrics.evaluate(labels, preds, scores))
     stores.write_json(summary, args.out / "metrics.json")
 
     t = summary["test"]
@@ -241,10 +242,8 @@ def cmd_predict(args) -> None:
 def cmd_congruence(args) -> None:
     text_store = stores.read_store(args.text_store)
     image_store = stores.read_store(args.image_store)
-    if text_store.n != image_store.n:
-        raise ValueError(
-            f"text store has {text_store.n} rows, image store {image_store.n}"
-        )
+    if image_store.names != text_store.names:
+        raise ValueError("image store must carry the same row names as the text store")
     knowledge = None
     if args.pairs or args.concept_store:
         if not (args.pairs and args.concept_store):

@@ -3,7 +3,9 @@
 Measures how close text and image embeddings sit, before and after each
 side is pulled toward the pair's mean knowledge vector, to quantify how
 much shared knowledge context tightens the pairing. A pair set holds one
-knowledge mean per pair, as one [n, d] array.
+knowledge mean per pair, as one [n, d] array. Each side of a report, the
+raw pairs and the augmented ones, is summarised by the same code: the pair
+cosines, the centroid distance, the mean cosine and the cosine histogram.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ class ModalityPairSet:
     """Row i of text_vecs pairs with row i of image_vecs.
 
     knowledge, when present, is an [n, d] array whose row i is the mean of
-    the knowledge vectors retrieved for pair i; any other shape is rejected.
+    the knowledge vectors retrieved for pair i; any other shape is rejected,
+    and so is a NaN or infinite value in any of the three arrays.
     """
 
     text_vecs: np.ndarray
@@ -52,6 +55,11 @@ class ModalityPairSet:
             if self.knowledge.shape != (n, d):
                 raise ValueError(f"knowledge means {self.knowledge.shape} are not "
                                  f"[{n}, {d}] like the modality vectors")
+        for what, vecs in (("text", self.text_vecs), ("image", self.image_vecs),
+                           ("knowledge", self.knowledge)):
+            if vecs is not None and not np.isfinite(vecs).all():
+                bad = self.ids[int(np.argmin(np.isfinite(vecs).all(axis=1)))]
+                raise ValueError(f"pair {bad!r}: {what} vector is not finite")
 
     @property
     def n(self) -> int:
@@ -76,23 +84,15 @@ class CongruenceReport:
     relative_similarity_change: float | None = None
 
     def to_dict(self) -> dict:
+        def side(distance, mean, counts) -> dict:
+            return {"centroid_distance": distance, "mean_pairwise_cosine": mean,
+                    "cosine_histogram": {"edges": self.histogram_edges, "counts": counts}}
+
         return {
-            "centroid_distance": self.centroid_distance,
-            "mean_pairwise_cosine": self.mean_pairwise_cosine,
-            "cosine_histogram": {
-                "edges": self.histogram_edges,
-                "counts": self.histogram_counts,
-            },
-            "with_knowledge": None
-            if self.centroid_distance_with is None
-            else {
-                "centroid_distance": self.centroid_distance_with,
-                "mean_pairwise_cosine": self.mean_pairwise_cosine_with,
-                "cosine_histogram": {
-                    "edges": self.histogram_edges,
-                    "counts": self.histogram_counts_with,
-                },
-            },
+            **side(self.centroid_distance, self.mean_pairwise_cosine, self.histogram_counts),
+            "with_knowledge": None if self.centroid_distance_with is None else side(
+                self.centroid_distance_with, self.mean_pairwise_cosine_with,
+                self.histogram_counts_with),
             "relative_similarity_change": self.relative_similarity_change,
         }
 
@@ -136,15 +136,13 @@ def augment_with_knowledge(pairs: ModalityPairSet) -> ModalityPairSet:
     )
 
 
-def _centroid_distance(pairs: ModalityPairSet) -> float:
-    return float(
-        np.linalg.norm(pairs.text_vecs.mean(axis=0) - pairs.image_vecs.mean(axis=0))
-    )
-
-
-def _histogram(cosines: np.ndarray) -> tuple[list[float], list[int]]:
-    counts, edges = np.histogram(cosines, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
-    return edges.tolist(), counts.tolist()
+def _summary(pairs: ModalityPairSet) -> tuple[np.ndarray, float, float, list[int]]:
+    """The pair cosines, centroid distance, mean cosine and cosine
+    histogram counts of one pair set."""
+    cosines = pairwise_cosines(pairs)
+    counts, _ = np.histogram(cosines, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
+    distance = np.linalg.norm(pairs.text_vecs.mean(axis=0) - pairs.image_vecs.mean(axis=0))
+    return cosines, float(distance), float(cosines.mean()), counts.tolist()
 
 
 def report(pairs: ModalityPairSet) -> CongruenceReport:
@@ -156,30 +154,23 @@ def report(pairs: ModalityPairSet) -> CongruenceReport:
     """
     if pairs.n < 2:
         raise ValueError(f"need at least 2 pairs, got {pairs.n}")
-    cosines = pairwise_cosines(pairs)
-    edges, counts = _histogram(cosines)
+    cosines, distance, mean, counts = _summary(pairs)
     rep = CongruenceReport(
-        centroid_distance=_centroid_distance(pairs),
-        mean_pairwise_cosine=float(cosines.mean()),
-        histogram_edges=edges,
+        centroid_distance=distance,
+        mean_pairwise_cosine=mean,
+        histogram_edges=np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1).tolist(),
         histogram_counts=counts,
         ids=list(pairs.ids),
         cosines=cosines,
     )
     if pairs.knowledge is not None:
-        augmented = augment_with_knowledge(pairs)
-        rep.cosines_with = pairwise_cosines(augmented)
-        _, rep.histogram_counts_with = _histogram(rep.cosines_with)
-        rep.centroid_distance_with = _centroid_distance(augmented)
-        rep.mean_pairwise_cosine_with = float(rep.cosines_with.mean())
-        without = rep.mean_pairwise_cosine
-        if without == 0.0:
+        (rep.cosines_with, rep.centroid_distance_with, rep.mean_pairwise_cosine_with,
+         rep.histogram_counts_with) = _summary(augment_with_knowledge(pairs))
+        if mean == 0.0:
             raise ValueError(
                 "relative change undefined: mean cosine without knowledge is 0"
             )
-        rep.relative_similarity_change = (
-            rep.mean_pairwise_cosine_with - without
-        ) / abs(without)
+        rep.relative_similarity_change = (rep.mean_pairwise_cosine_with - mean) / abs(mean)
     return rep
 
 

@@ -1,63 +1,33 @@
-"""Binary classification metrics: precision, recall, F1, ROC AUC, held
-flat beside the tp/fp/tn/fn counts in one EvalResult.
+"""Binary classification metrics: accuracy, precision, recall, F1 and ROC
+AUC, held flat beside the tp/fp/tn/fn counts in one EvalResult.
 
-Zero-denominator convention: a metric whose denominator is zero is 1.0 when
-its condition is vacuously satisfied (no predicted positives and no actual
-positives at the same time) and 0.0 otherwise.
+Both classes must be present, so recall's denominator is never zero. A
+precision with no predicted positives is 0.0, and so is the F1 of a zero
+precision and recall.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class EvalResult:
+    accuracy: float
     precision: float
     recall: float
     f1: float
-    auc: float | None
+    auc: float
     tp: int
     fp: int
     tn: int
     fn: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _check_binary(values: np.ndarray, what: str) -> None:
     if not np.isin(values, (0, 1)).all():
         raise ValueError(f"{what} must contain only 0 and 1")
-
-
-def classify_metrics(labels, predictions) -> EvalResult:
-    """Precision, recall, F1 and the confusion counts for 0/1 arrays."""
-    y = np.asarray(labels).reshape(-1)
-    p = np.asarray(predictions).reshape(-1)
-    if y.shape != p.shape:
-        raise ValueError(f"labels ({y.shape[0]}) and predictions ({p.shape[0]}) differ")
-    if y.size == 0:
-        raise ValueError("empty inputs")
-    _check_binary(y, "labels")
-    _check_binary(p, "predictions")
-
-    tp = int(np.sum((y == 1) & (p == 1)))
-    fp = int(np.sum((y == 0) & (p == 1)))
-    tn = int(np.sum((y == 0) & (p == 0)))
-    fn = int(np.sum((y == 1) & (p == 0)))
-
-    vacuous = (tp + fp == 0) and (tp + fn == 0)
-    precision = tp / (tp + fp) if tp + fp > 0 else (1.0 if vacuous else 0.0)
-    recall = tp / (tp + fn) if tp + fn > 0 else (1.0 if vacuous else 0.0)
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return EvalResult(precision=precision, recall=recall, f1=f1, auc=None,
-                      tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def auc(labels, scores) -> float:
@@ -92,9 +62,22 @@ def auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(labels, predictions, scores=None) -> EvalResult:
-    """classify_metrics plus AUC when ranking scores are supplied."""
-    result = classify_metrics(labels, predictions)
-    if scores is not None:
-        result.auc = auc(labels, scores)
-    return result
+def evaluate(labels, predictions, scores) -> EvalResult:
+    """Every figure of 0/1 predictions and their ranking scores against
+    0/1 labels; `auc` checks the labels and scores."""
+    area = auc(labels, scores)
+    y = np.asarray(labels).reshape(-1)
+    p = np.asarray(predictions).reshape(-1)
+    if y.shape != p.shape:
+        raise ValueError(f"labels ({y.shape[0]}) and predictions ({p.shape[0]}) differ")
+    _check_binary(p, "predictions")
+
+    tp = int(np.sum((y == 1) & (p == 1)))
+    fp = int(np.sum((y == 0) & (p == 1)))
+    tn = int(np.sum((y == 0) & (p == 0)))
+    fn = int(np.sum((y == 1) & (p == 0)))
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn)
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return EvalResult(accuracy=(tp + tn) / y.size, precision=precision, recall=recall,
+                      f1=f1, auc=area, tp=tp, fp=fp, tn=tn, fn=fn)

@@ -311,7 +311,7 @@ def test_criterion_08_metrics_match_oracles():
     with _criterion(8, "metrics match hand counts and all-pairs AUC"):
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         preds = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]
-        r = metrics.classify_metrics(labels, preds)
+        r = metrics.evaluate(labels, preds, np.linspace(0.0, 1.0, len(labels)))
         assert (r.tp, r.fp, r.fn, r.tn) == (3, 1, 2, 4)
         assert_allclose(r.precision, 0.75, rtol=1e-12)
         assert_allclose(r.recall, 0.6, rtol=1e-12)

@@ -417,6 +417,22 @@ class TestTrainFusionAndPredict:
                      "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_split_with_one_label_exits_before_training(self, tmp_path, capsys):
+        # At seed 0 the two validation records of ten both have label 1, so
+        # the val AUC is undefined; nothing may be trained or written first.
+        data, out = tmp_path / "data", tmp_path / "model"
+        assert main(["synth", "--n", "10", "--dim", "4", "--concept-dim", "4", "--n-concepts", "4",
+                     "--concepts-per-record", "2", "--seed", "0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train-fusion", "--records", str(data / "records.jsonl"),
+                     "--mm-store", str(data / "multimodal.emb"),
+                     "--concept-store", str(data / "concepts.emb"),
+                     "--epochs", "1", "--d-model", "4", "--heads", "2", "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: all 2 records of the val split have label 1; "
+                                           "each split needs both labels\n")
+        assert not (out / "fusion.ckpt").exists()
+
     def test_lr_sweep_selects_from_grid(self, data, tmp_path):
         out = tmp_path / "model"
         argv = _fusion_args(data, out, "--lr-sweep")
@@ -775,6 +791,21 @@ class TestCongruence:
             "--out", str(tmp_path / "out"),
         ]
         assert main(argv) == 1
+
+    def test_row_names_in_another_order_exit_one(self, tmp_path, capsys):
+        # The same unit rows under the names a, b, c and c, b, a: paired by
+        # position, text a would meet image c and every cosine would read 1.
+        paths = {}
+        for key, names in (("text", ["a", "b", "c"]), ("image", ["c", "b", "a"])):
+            paths[key] = tmp_path / f"{key}.emb"
+            write_store(EmbeddingStore(dim=3, names=names, vectors=np.eye(3, dtype=np.float32)),
+                        paths[key])
+        out = tmp_path / "out"
+        assert main(["congruence", "--text-store", str(paths["text"]),
+                     "--image-store", str(paths["image"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: image store must carry the same row names as the text store\n")
+        assert not (out / "congruence.json").exists()
 
 
 class TestConfigFile:

@@ -138,6 +138,19 @@ class TestAugmentWithKnowledge:
         assert str(err.value) == (f"knowledge means {shape} are not [2, 12] "
                                   "like the modality vectors")
 
+    @pytest.mark.parametrize("what", ["text", "image", "knowledge"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_named(self, what, bad):
+        # Three pairs, one knowledge mean [nan, 0]: a NaN passes every
+        # zero-norm check, so the report would read nan.
+        arrays = {"text": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                  "image": [[1.0, 0.5], [0.5, 1.0], [1.0, 0.0]],
+                  "knowledge": [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]}
+        arrays[what][1][0] = bad
+        with pytest.raises(ValueError, match=f"^pair 'b': {what} vector is not finite$"):
+            ModalityPairSet(text_vecs=arrays["text"], image_vecs=arrays["image"],
+                            knowledge=arrays["knowledge"], ids=["a", "b", "c"])
+
 
 class TestReport:
     def test_needs_two_pairs(self):

@@ -1,7 +1,9 @@
-"""Binary classification metrics against hand counts and all-pairs AUC."""
+"""Binary classification metrics against hand counts, brute-force counts
+and all-pairs AUC."""
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from knowfuse.metrics import auc, classify_metrics, evaluate
+from knowfuse.metrics import auc, evaluate
 
 
 def _oracle_auc(labels, scores) -> float:
@@ -46,43 +48,41 @@ def _loop_midrank_auc(labels, scores) -> float:
 
 
 class TestClassifyMetrics:
+    """evaluate's confusion counts and the ratios taken from them."""
+
     def test_hand_confusion(self):
         # tp=3 fp=1 fn=2 tn=4
         labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         preds_ = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]
-        r = classify_metrics(labels, preds_)
+        r = evaluate(labels, preds_, np.linspace(0.0, 1.0, 10))
         assert (r.tp, r.fp) == (3, 1)
         assert (r.fn, r.tn) == (2, 4)
+        assert r.accuracy == 0.7
         assert_allclose(r.precision, 0.75, rtol=1e-12)
         assert_allclose(r.recall, 0.6, rtol=1e-12)
         assert_allclose(r.f1, 2.0 / 3.0, rtol=1e-12)
 
     def test_perfect(self):
-        r = classify_metrics([0, 1, 1], [0, 1, 1])
-        assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
-
-    def test_vacuous_all_negative_agreement(self):
-        # nothing predicted positive and nothing actually positive
-        r = classify_metrics([0, 0, 0], [0, 0, 0])
-        assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
+        r = evaluate([0, 1, 1], [0, 1, 1], [0.1, 0.8, 0.9])
+        assert (r.accuracy, r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0, 1.0)
 
     def test_missed_positives_score_zero(self):
-        r = classify_metrics([1, 1, 0], [0, 0, 0])
-        assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
-
-    def test_false_alarms_score_zero(self):
-        r = classify_metrics([0, 0, 0], [1, 0, 0])
+        r = evaluate([1, 1, 0], [0, 0, 0], [0.3, 0.2, 0.1])
         assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="differ"):
-            classify_metrics([0, 1], [0, 1, 1])
-        with pytest.raises(ValueError, match="empty"):
-            classify_metrics([], [])
+            evaluate([0, 1], [0, 1, 1], [0.1, 0.9])
+        with pytest.raises(ValueError, match="differ"):
+            evaluate([0, 1], [0, 1], [0.1, 0.9, 0.5])
+        with pytest.raises(ValueError, match="both classes"):
+            evaluate([], [], [])
         with pytest.raises(ValueError, match="labels"):
-            classify_metrics([0, 2], [0, 1])
+            evaluate([0, 2], [0, 1], [0.1, 0.9])
         with pytest.raises(ValueError, match="predictions"):
-            classify_metrics([0, 1], [0, 3])
+            evaluate([0, 1], [0, 3], [0.1, 0.9])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate([0, 1], [0, 1], [0.1, np.inf])
 
 
 class TestAuc:
@@ -162,13 +162,38 @@ class TestEvaluate:
         assert r.auc == 1.0
         assert_allclose(r.recall, 0.5, rtol=1e-12)
 
-    def test_without_scores(self):
-        r = evaluate([0, 1], [0, 1])
-        assert r.auc is None
-
-    def test_to_dict_keys(self):
-        d = evaluate([0, 1], [0, 1], scores=[0.1, 0.9]).to_dict()
+    def test_asdict_keys(self):
+        # the keys and values one metrics.json split holds
+        d = asdict(evaluate([0, 1], [0, 1], scores=[0.1, 0.9]))
         assert set(d) == {
-            "precision", "recall", "f1", "auc", "tp", "fp", "tn", "fn"
+            "accuracy", "precision", "recall", "f1", "auc", "tp", "fp", "tn", "fn"
         }
-        assert d["tp"] == 1 and d["tn"] == 1
+        assert d["tp"] == 1 and d["tn"] == 1 and d["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0], [1, 1]])
+    def test_single_class_rejected(self, labels):
+        n = len(labels)
+        with pytest.raises(ValueError, match="both classes"):
+            evaluate(labels, [0, 1, 0][:n], np.linspace(0.0, 1.0, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 5)), min_size=2, max_size=50,
+    ).filter(lambda rows: len({label for label, _, _ in rows}) == 2))
+    def test_matches_brute_force_oracle(self, rows):
+        labels = np.array([label for label, _, _ in rows])
+        preds = np.array([pred for _, pred, _ in rows])
+        scores = [level / 4.0 for _, _, level in rows]  # a few levels, so ties are common
+        r = evaluate(labels, preds, scores)
+
+        counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for label, pred, _ in rows:
+            counts[("t" if label == pred else "f") + ("p" if pred else "n")] += 1
+        assert (r.tp, r.fp, r.tn, r.fn) == (counts["tp"], counts["fp"], counts["tn"], counts["fn"])
+        precision = r.tp / (r.tp + r.fp) if r.tp + r.fp else 0.0
+        recall = r.tp / (r.tp + r.fn)
+        f1 = 2 * precision * recall / (precision + recall) if r.tp else 0.0
+        assert (r.precision, r.recall, r.f1) == (precision, recall, f1)
+        assert r.accuracy == float(np.mean(labels == preds))
+        assert r.auc == auc(labels, scores)
+        assert_allclose(r.auc, _oracle_auc(labels, scores), rtol=1e-12)
