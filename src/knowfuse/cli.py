@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -201,22 +201,18 @@ def cmd_train_fusion(args) -> None:
     result = max(results, key=lambda r: max((row["val_acc"] for row in r.history), default=-1.0))
 
     fusion.save_checkpoint(result.net, args.out / "fusion.ckpt")
-    if result.concept_vectors is not None:
-        stores.write_store(replace(concept_store, vectors=result.concept_vectors),
-                           args.out / "concepts_tuned.emb")
+    if result.net.cfg.train_concepts:
+        stores.write_store(result.concepts, args.out / "concepts_tuned.emb")
 
     columns = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
     stores.write_csv(columns, ([row["epoch"], *(repr(row[c]) for c in columns[1:])]
                                for row in result.history), args.out / "history.csv")
 
-    # train_classifier evaluated train and val at the restored epoch. With
-    # --train-concepts the model was trained and early-stopped against its
-    # tuned concept vectors, so test is evaluated against them too.
+    # Each split is scored once, by the saved net against the saved concepts.
     summary = {"lr_selected": result.net.cfg.learning_rate, "epochs_ran": len(result.history)}
-    evaluation = {**result.evaluation, "test": fusion.evaluate_records(
-        result.net, test, concept_store, result.concept_vectors)}
-    for split_name, (labels, preds, scores) in evaluation.items():
-        summary[split_name] = asdict(metrics.evaluate(labels, preds, scores))
+    for split_name, split in zip(("train", "val", "test"), (train, val, test)):
+        summary[split_name] = asdict(metrics.evaluate(
+            *fusion.evaluate_records(result.net, split, result.concepts)))
     stores.write_json(summary, args.out / "metrics.json")
 
     t = summary["test"]
@@ -235,7 +231,7 @@ def cmd_predict(args) -> None:
     labels, preds, p1 = fusion.evaluate_records(net, records, concept_store)
     stores.write_predictions_jsonl([r.id for r in records], preds, p1,
                                    args.out / "predictions.jsonl")
-    acc = float(np.mean(labels == preds))
+    acc = metrics.accuracy(labels, preds)
     print(f"predict: wrote {len(records)} predictions (accuracy vs file labels {acc:.4f})")
 
 

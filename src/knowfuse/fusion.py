@@ -29,17 +29,20 @@ backward is hand derived and is checked against central finite differences
 and a per-record derivation in the test suite.
 The ablation flag use_knowledge=False skips attention entirely and classifies
 the projected multimodal vector alone.
+train_classifier ends on its best epoch rounded to float32, so the net and
+concept store it returns are the model that is saved, scored and predicted with.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import metrics
 from .errors import NonFiniteError, StoreFormatError, TrainingDivergedError, check_fields
 from .stores import BinaryReader, CampaignRecord, EmbeddingStore, write_json
 
@@ -340,15 +343,14 @@ class _Adam:
 
 @dataclass
 class TrainResult:
-    """The net restored to its best epoch, one history row per epoch, and
-    that epoch's evaluate_records output for the "train" and "val" records.
-    With train_concepts, concept_vectors holds every concept row: a float64
-    copy with the tuned rows, or for the ablation net the store's own array."""
+    """The net restored to its best epoch and rounded to the float32 values a
+    checkpoint keeps, one history row per epoch, and the store to evaluate it
+    with: the input store, or for a knowledge net trained with train_concepts
+    a copy whose used rows are the tuned ones, as concepts_tuned.emb keeps."""
 
     net: FusionNet
     history: list[dict]
-    evaluation: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    concept_vectors: np.ndarray | None = None
+    concepts: EmbeddingStore
 
 
 def _gather(records: list[CampaignRecord], idx: np.ndarray):
@@ -435,11 +437,14 @@ def train_classifier(
     When val_records is None a validation share is carved off records with
     the config seed. Training stops once validation accuracy has not
     improved for early_stop_patience consecutive epochs, and the parameters
-    from the best epoch are restored. History rows carry epoch, final
-    learning rate, mean train loss, train accuracy and validation accuracy.
+    from the best epoch are restored and rounded to float32. History rows
+    carry epoch, final learning rate, mean train loss, and the train and
+    validation accuracy of the float64 state that training steps.
     """
     if not records:
         raise ValueError("no training records")
+    if val_records is not None and not val_records:
+        raise ValueError("no validation records")
     rng = np.random.default_rng(cfg.seed)
     net = FusionNet(cfg, rng=rng)
 
@@ -479,14 +484,9 @@ def train_classifier(
     adam = _Adam(state)
     grad = np.zeros_like(state)
 
-    def split_eval():  # (labels, predictions, p1) of each split, as evaluate_records gives them
-        return {"train": _eval_net(net, records, concepts),
-                "val": _eval_net(net, val_records, concepts)}
-
     history: list[dict] = []
     best_val = -1.0
     best = state.copy()
-    evaluation = None
     stale = 0
     step = 0
 
@@ -513,28 +513,25 @@ def train_classifier(
         if tuned:
             concepts[used] = rows
 
-        epoch_eval = split_eval()
-        train_acc, val_acc = (float(np.mean(labels == preds))
-                              for labels, preds, _ in epoch_eval.values())
+        train_acc, val_acc = (metrics.accuracy(*_eval_net(net, split, concepts)[:2])
+                              for split in (records, val_records))
         history.append({"epoch": epoch + 1, "lr": lr, "train_loss": epoch_loss / len(records),
                         "train_acc": train_acc, "val_acc": val_acc})
         if val_acc > best_val:
             best_val = val_acc
             best[...] = state
-            evaluation = epoch_eval
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
 
-    state[...] = best
+    state[...] = best.astype(np.float32)  # the values save_checkpoint and write_store keep
     if tuned:
-        concepts[used] = rows
-    if evaluation is None:  # no epoch ran
-        evaluation = split_eval()
-    return TrainResult(net=net, history=history, evaluation=evaluation,
-                       concept_vectors=concepts if cfg.train_concepts else None)
+        vectors = concept_store.vectors.copy()
+        vectors[used] = rows
+        concept_store = replace(concept_store, vectors=vectors)
+    return TrainResult(net=net, history=history, concepts=concept_store)
 
 
 def predict(
@@ -550,20 +547,14 @@ def predict(
 
 
 def evaluate_records(
-    net: FusionNet, records: list[CampaignRecord], concept_store: EmbeddingStore,
-    concept_vectors: np.ndarray | None = None,
+    net: FusionNet, records: list[CampaignRecord], concept_store: EmbeddingStore
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, predictions, positive-class scores) over a record list.
-
-    concept_vectors, when given, replaces the store's vectors row for row:
-    pass TrainResult.concept_vectors to evaluate a concept-tuned model.
-    """
+    """(labels, predictions, positive-class scores) over a record list. Pass
+    TrainResult.concepts to evaluate a concept-tuned model."""
     if not records:
         raise ValueError("no records to evaluate")
     _resolve_ids(records, concept_store, net.cfg)
-    if concept_vectors is None:
-        concept_vectors = concept_store.vectors
-    return _eval_net(net, records, concept_vectors)
+    return _eval_net(net, records, concept_store.vectors)
 
 
 def _header(cfg: FusionConfig) -> tuple[int, int, int, int, int]:

@@ -62,16 +62,26 @@ def auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(labels, predictions, scores) -> EvalResult:
-    """Every figure of 0/1 predictions and their ranking scores against
-    0/1 labels; `auc` checks the labels and scores."""
-    area = auc(labels, scores)
+def accuracy(labels, predictions) -> float:
+    """The share of 0/1 predictions equal to their 0/1 labels. Unlike
+    evaluate it takes no scores and accepts one class."""
     y = np.asarray(labels).reshape(-1)
     p = np.asarray(predictions).reshape(-1)
     if y.shape != p.shape:
         raise ValueError(f"labels ({y.shape[0]}) and predictions ({p.shape[0]}) differ")
+    if not y.size:
+        raise ValueError("accuracy needs at least one label")
+    _check_binary(y, "labels")
     _check_binary(p, "predictions")
+    return float(np.mean(y == p))
 
+
+def evaluate(labels, predictions, scores) -> EvalResult:
+    """Every figure of 0/1 predictions and their ranking scores against
+    0/1 labels; `auc` checks the labels and scores, `accuracy` the
+    predictions."""
+    area, acc = auc(labels, scores), accuracy(labels, predictions)
+    y, p = np.asarray(labels).reshape(-1), np.asarray(predictions).reshape(-1)
     tp = int(np.sum((y == 1) & (p == 1)))
     fp = int(np.sum((y == 0) & (p == 1)))
     tn = int(np.sum((y == 0) & (p == 0)))
@@ -79,5 +89,5 @@ def evaluate(labels, predictions, scores) -> EvalResult:
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn)
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return EvalResult(accuracy=(tp + tn) / y.size, precision=precision, recall=recall,
+    return EvalResult(accuracy=acc, precision=precision, recall=recall,
                       f1=f1, auc=area, tp=tp, fp=fp, tn=tn, fn=fn)

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from knowfuse import congruence, fusion, retrieval
+from knowfuse import cli, congruence, fusion, metrics, retrieval
 from knowfuse.cli import derive_seed, main
 from knowfuse.fusion import FusionConfig, load_checkpoint
 from knowfuse.kge import KgeTrainConfig
@@ -442,8 +443,8 @@ class TestTrainFusionAndPredict:
 
     def test_lr_sweep_scores_each_split_once(self, data, tmp_path, monkeypatch):
         # Each swept lr is judged by its history's best val_acc, the accuracy
-        # of the weights train_classifier restores. train_classifier scored
-        # train and val at that epoch, so metrics.json scores only test again.
+        # of the weights train_classifier restores; only the selected model
+        # is scored, once per split.
         scored = []
         original = fusion.evaluate_records
         monkeypatch.setattr(fusion, "evaluate_records",
@@ -453,9 +454,26 @@ class TestTrainFusionAndPredict:
         metrics = json.loads((out / "metrics.json").read_text())
         counts = {split: sum(metrics[split][c] for c in ("tp", "fp", "tn", "fn"))
                   for split in ("train", "val", "test")}
-        assert scored == [counts["test"]] and sum(counts.values()) == 60
+        assert scored == [counts["train"], counts["val"], counts["test"]]
+        assert sum(counts.values()) == 60
         rows = (out / "history.csv").read_text().splitlines()[1:]
         assert metrics["val"]["accuracy"] == max(float(row.split(",")[4]) for row in rows)
+
+    @pytest.mark.parametrize("flags", [(), ("--train-concepts",)])
+    def test_saved_model_reproduces_metrics(self, data, tmp_path, flags):
+        # metrics.json describes the files train-fusion writes: the saved
+        # checkpoint, with the tuned store when concepts were trained.
+        out = tmp_path / "model"
+        assert main(_fusion_args(data, out, *flags)) == 0
+        net = load_checkpoint(out / "fusion.ckpt")
+        concepts = read_store(out / "concepts_tuned.emb" if flags else data / "concepts.emb")
+        records = read_records_jsonl(data / "records.jsonl", read_store(data / "multimodal.emb"),
+                                     concepts)
+        splits = cli._split_records(records, 3, fusion.DEFAULT_SPLIT_SHAPE)  # _fusion_args' seed
+        want = json.loads((out / "metrics.json").read_text())
+        for name, split in zip(("train", "val", "test"), splits, strict=True):
+            got = metrics.evaluate(*fusion.evaluate_records(net, split, concepts))
+            assert asdict(got) == want[name], name
 
     def test_lr_sweep_without_epochs_keeps_first_lr(self, data, tmp_path):
         out = tmp_path / "model"

@@ -32,7 +32,14 @@ from knowfuse.fusion import (
     train_classifier,
     warmup_lr,
 )
-from knowfuse.stores import CampaignRecord, EmbeddingStore, SynthConfig, synth_dataset
+from knowfuse.stores import (
+    CampaignRecord,
+    EmbeddingStore,
+    SynthConfig,
+    read_store,
+    synth_dataset,
+    write_store,
+)
 
 import fusion_reference as ref
 
@@ -514,11 +521,10 @@ class TestTrainClassifier:
         records, store = _small_dataset()
         cfg = _small_fusion_cfg(train_concepts=True)
         res = train_classifier(records, store, cfg)
-        assert res.concept_vectors is not None
-        assert res.concept_vectors.shape == (store.n, store.dim)
-        assert not np.array_equal(
-            res.concept_vectors, store.vectors.astype(np.float64)
-        )
+        assert res.concepts is not store
+        assert res.concepts.names == store.names
+        assert res.concepts.vectors.shape == (store.n, store.dim)
+        assert not np.array_equal(res.concepts.vectors, store.vectors)
 
     def test_adam_blocks_leave_the_result_unchanged(self, monkeypatch):
         records, store = _small_dataset()
@@ -528,7 +534,7 @@ class TestTrainClassifier:
         blocked = train_classifier(records, store, cfg)
         assert blocked.history == whole.history
         assert np.array_equal(blocked.net.flat, whole.net.flat)
-        assert np.array_equal(blocked.concept_vectors, whole.concept_vectors)
+        assert np.array_equal(blocked.concepts.vectors, whole.concepts.vectors)
 
     def test_concept_step_matches_a_whole_matrix_step(self):
         records, store = _small_dataset(n=100)
@@ -541,9 +547,10 @@ class TestTrainClassifier:
         res = train_classifier(train, store, cfg, val_records=val)
         val_accs = [row["val_acc"] for row in res.history]
         per_epoch = _dense_concept_training(train, store, cfg)
-        assert np.array_equal(res.concept_vectors, per_epoch[val_accs.index(max(val_accs))])
-        assert np.array_equal(res.concept_vectors[8:], store.vectors[8:].astype(np.float64))
-        assert not np.array_equal(res.concept_vectors[:8], store.vectors[:8].astype(np.float64))
+        want = per_epoch[val_accs.index(max(val_accs))].astype(np.float32)
+        assert np.array_equal(res.concepts.vectors, want)
+        assert np.array_equal(res.concepts.vectors[8:], store.vectors[8:])
+        assert not np.array_equal(res.concepts.vectors[:8], store.vectors[:8])
 
     def test_concept_snapshot_from_an_early_best_epoch(self):
         records, store = _small_dataset(n=100, seed=7)
@@ -559,8 +566,8 @@ class TestTrainClassifier:
         assert best < len(res.history) - 1  # the case this test is for
         per_epoch = _dense_concept_training(train, store, cfg)
         assert not np.array_equal(per_epoch[best], per_epoch[-1])
-        assert np.array_equal(res.concept_vectors, per_epoch[best])
-        assert np.array_equal(res.concept_vectors[8:], store.vectors[8:].astype(np.float64))
+        assert np.array_equal(res.concepts.vectors, per_epoch[best].astype(np.float32))
+        assert np.array_equal(res.concepts.vectors[8:], store.vectors[8:])
 
     @pytest.mark.parametrize("train_concepts", [False, True])
     @pytest.mark.parametrize("epochs", [0, 4])
@@ -570,14 +577,12 @@ class TestTrainClassifier:
         cfg = _small_fusion_cfg(train_concepts=train_concepts, epochs=epochs,
                                 early_stop_patience=1)
         res = train_classifier(train, store, cfg, val_records=val)
-        assert list(res.evaluation) == ["train", "val"]
-        for split, split_records in (("train", train), ("val", val)):
-            want = evaluate_records(res.net, split_records, store, res.concept_vectors)
-            for got, w in zip(res.evaluation[split], want, strict=True):
-                assert np.array_equal(got, w), split
+        labels, preds, _ = evaluate_records(res.net, val, res.concepts)
         if res.history:
-            labels, preds, _ = res.evaluation["val"]
             assert np.mean(labels == preds) == max(row["val_acc"] for row in res.history)
+        else:  # no epoch ran: the initial draw, rounded like a trained state
+            assert np.array_equal(res.net.flat, FusionNet(cfg).flat.astype(np.float32))
+            assert np.array_equal(res.concepts.vectors, store.vectors)
 
     def test_ablation_copies_no_concepts(self):
         # The ablation net reads no concept row, so training it with
@@ -585,13 +590,29 @@ class TestTrainClassifier:
         records, store = _small_dataset()
         res = train_classifier(records, store,
                                _small_fusion_cfg(train_concepts=True, use_knowledge=False))
-        assert res.concept_vectors.dtype == np.float32
-        assert np.shares_memory(res.concept_vectors, store.vectors)
+        assert res.concepts is store
 
     def test_untrained_concepts_not_returned(self):
         records, store = _small_dataset()
         res = train_classifier(records, store, _small_fusion_cfg())
-        assert res.concept_vectors is None
+        assert res.concepts is store
+
+    def test_empty_validation_list_rejected(self):
+        # An empty list once trained on: every val_acc was nan, no epoch was
+        # ever best, and the untrained initial weights came back.
+        records, store = _small_dataset()
+        with pytest.raises(ValueError, match="no validation records"):
+            train_classifier(records, store, _small_fusion_cfg(), val_records=[])
+
+    @pytest.mark.parametrize("overrides", [{}, {"train_concepts": True},
+                                           {"train_concepts": True, "use_knowledge": False}])
+    def test_returned_model_is_the_saved_model(self, tmp_path, overrides):
+        records, store = _small_dataset()
+        res = train_classifier(records, store, _small_fusion_cfg(**overrides))
+        save_checkpoint(res.net, tmp_path / "fusion.ckpt")
+        assert np.array_equal(load_checkpoint(tmp_path / "fusion.ckpt").flat, res.net.flat)
+        write_store(res.concepts, tmp_path / "concepts.emb")
+        assert np.array_equal(read_store(tmp_path / "concepts.emb").vectors, res.concepts.vectors)
 
 
 class TestPredict:

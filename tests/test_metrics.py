@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from knowfuse.metrics import auc, evaluate
+from knowfuse.metrics import accuracy, auc, evaluate
 
 
 def _oracle_auc(labels, scores) -> float:
@@ -154,6 +154,32 @@ class TestAuc:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             auc([0, 1], [0.1, np.nan])
+
+
+class TestAccuracy:
+    def test_one_class_is_scored(self):
+        # predict's records file may hold one label, so accuracy needs neither both
+        # classes nor scores.
+        assert accuracy([1, 1, 1, 1], [1, 0, 1, 1]) == 0.75
+        assert accuracy(np.array([0]), np.array([0])) == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="differ"):
+            accuracy([0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="at least one"):
+            accuracy([], [])
+        with pytest.raises(ValueError, match="labels"):
+            accuracy([0, 2], [0, 1])
+        with pytest.raises(ValueError, match="predictions"):
+            accuracy([0, 1], [0, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1,
+                          max_size=3000))
+    def test_is_the_exact_share(self, pairs):
+        # bit-equal to the correctly rounded ratio of matches to records
+        labels, preds = np.array(pairs).T
+        assert accuracy(labels, preds) == sum(y == p for y, p in pairs) / len(pairs)
 
 
 class TestEvaluate:
