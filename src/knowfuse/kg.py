@@ -3,7 +3,10 @@
 Loads (head, relation, tail) triples from plain TSV or ConceptNet-style CSV
 dumps into one int64 [n, 3] array of distinct ids in file order, with entity
 and relation label lists indexed by id; `known_set` and membership derive
-from the array. `corrupt` draws filtered negatives for [B, 3] id arrays.
+from the array. `corrupt` draws filtered negatives for [B, 3] id arrays,
+on the head or the tail of each row as a boolean mask says, and tests each
+candidate by its int64 triple key. A ConceptNet URI without a term is a
+load error.
 """
 from __future__ import annotations
 
@@ -66,30 +69,30 @@ class KnowledgeGraph:
         n, r = self.num_entities, self.num_relations
         if n * n * max(r, 1) >= 2**63:
             raise ValueError(f"{n} entities and {r} relations overflow int64 triple keys")
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
-        return (ids[:, 0] * r + ids[:, 1]) * n + ids[:, 2]
+        return np.dot(np.asarray(ids, dtype=np.int64).reshape(-1, 3), (r * n, n, 1))
 
     @cached_property
     def known_keys(self) -> np.ndarray:
         """Sorted keys of the triples."""
         return np.sort(self.triple_keys(self.triples))
 
-    def is_known(self, ids) -> np.ndarray:
-        """Whether each row of an [n, 3] id array is a known triple."""
-        keys, known = self.triple_keys(ids), self.known_keys
-        at = np.searchsorted(known, keys)
-        hit = at < len(known)
-        hit[hit] = known[at[hit]] == keys[hit]
-        return hit
+    def is_known(self, keys) -> np.ndarray:
+        """Whether each int64 triple key (see `triple_keys`) is a known triple's."""
+        known = self.known_keys
+        if not len(known):
+            return np.zeros(np.shape(keys), dtype=bool)
+        # A key past the last known one clips onto it, which is smaller.
+        return known.take(np.searchsorted(known, keys), mode="clip") == keys
 
 
 def _strip_uri(token: str) -> str:
-    """The term of a ConceptNet concept URI, `/c/<lang>/<term>[/<pos>/...]`,
-    the final path segment of any other URI, or the token itself."""
+    """The term of a ConceptNet concept URI, `/c/<lang>/<term>[/<pos>/...]`
+    ('' when it has none), the final path segment of any other URI, or the
+    token itself."""
     token = token.strip()
     parts = token.split("/")
-    if len(parts) > 3 and parts[:2] == ["", "c"] and parts[3]:
-        return parts[3]
+    if parts[:2] == ["", "c"]:
+        return parts[3] if len(parts) > 3 else ""
     if "/" in token:
         token = token.rstrip("/").rsplit("/", 1)[-1]
     return token
@@ -115,7 +118,7 @@ def _parse_row(line: str, fmt: str, lineno: int) -> tuple[str, str, str]:
     else:
         raise ValueError(f"unknown triples format: {fmt!r}")
     if not h or not r or not t:
-        raise TripleLoadError(f"line {lineno}: empty field in triple")
+        raise TripleLoadError(f"line {lineno}: empty field or URI term in triple")
     return h, r, t
 
 
@@ -162,12 +165,12 @@ def load_triples(path: str | Path, fmt: str = "tsv") -> KnowledgeGraph:
 
 def corrupt(
     triples: np.ndarray,
-    sides: np.ndarray,
+    head: np.ndarray,
     rng: np.random.Generator,
     kg: KnowledgeGraph,
 ) -> np.ndarray:
     """Corrupt one side of each row of an [B, 3] id array into a filtered
-    negative; `sides` holds the B sides, 'head' or 'tail'.
+    negative: the head where the boolean mask `head` is True, else the tail.
 
     Each round resamples an entity uniformly for every row still rejected: a
     draw is rejected when it equals the row's original entity or makes a
@@ -179,28 +182,39 @@ def corrupt(
     n = kg.num_entities
     if n < 2:
         raise ValueError("corruption needs at least 2 entities")
-    sides = np.asarray(sides)
-    if not ((sides == HEAD) | (sides == TAIL)).all():
-        raise ValueError("every side must be 'head' or 'tail'")
     ids = np.asarray(triples, dtype=np.int64)
-    out, col, todo = ids.copy(), np.where(sides == HEAD, 0, 2), np.arange(len(ids))
-    original = ids[todo, col]
-    for _ in range(CORRUPT_ATTEMPTS):
+    head = np.asarray(head)
+    if head.dtype != bool or head.shape != (len(ids),):
+        raise ValueError(f"head must be a boolean mask of {len(ids)} sides, "
+                         f"got {head.dtype} of shape {head.shape}")
+    original = np.where(head, ids[:, 0], ids[:, 2])
+    # Putting entity c on a row's corrupted side gives the key base + c * scale.
+    scale = np.where(head, kg.num_relations * n, 1)
+    base = kg.triple_keys(ids) - original * scale
+    if CORRUPT_ATTEMPTS and len(ids):  # the first round draws for every row
+        drawn = rng.integers(0, n, size=len(ids))
+        todo = np.flatnonzero((drawn == original) | kg.is_known(base + drawn * scale))
+    else:
+        drawn, todo = original.copy(), np.arange(len(ids))
+    for _ in range(CORRUPT_ATTEMPTS - 1):
         if not todo.size:
             break
         candidates = rng.integers(0, n, size=todo.size)
-        out[todo, col[todo]] = candidates
-        todo = todo[(candidates == original[todo]) | kg.is_known(out[todo])]
+        drawn[todo] = candidates
+        keys = base[todo] + candidates * scale[todo]
+        todo = todo[(candidates == original[todo]) | kg.is_known(keys)]
     for i in todo.tolist():  # every draw failed: the explicit complement decides
-        every = np.repeat(ids[i : i + 1], n, axis=0)
-        every[:, col[i]] = np.arange(n)
-        free = np.flatnonzero((every[:, col[i]] != original[i]) & ~kg.is_known(every))
+        every = np.arange(n)
+        free = np.flatnonzero((every != original[i]) & ~kg.is_known(base[i] + every * scale[i]))
         if not free.size:
             raise CorruptionError(
-                f"no filtered corruption exists for {Triple(*ids[i].tolist())} on {sides[i]}: "
-                f"every other entity forms a known triple"
+                f"no filtered corruption exists for {Triple(*ids[i].tolist())} on "
+                f"{HEAD if head[i] else TAIL}: every other entity forms a known triple"
             )
-        out[i] = every[free[rng.integers(0, free.size)]]
+        drawn[i] = free[rng.integers(0, free.size)]
+    out = ids.copy()
+    np.copyto(out[:, 0], drawn, where=head)
+    np.copyto(out[:, 2], drawn, where=~head)
     return out
 
 

@@ -14,7 +14,9 @@ Training minimises the margin ranking loss
 with minibatch SGD over filtered negatives. All gradients are hand derived;
 training runs in float64. One kernel per score function scores a [B, 3]
 array of id triples with their row gradients; ranking uses its one-product
-form. Training and its gradients take [B, 3] id arrays only.
+form. Training and its gradients take [B, 3] id arrays only. A step
+subtracts the active pairs' row gradients from the tables in batch order
+(head rows, then tail rows), one subtraction each, repeated rows included.
 
 RotatE layout: an entity row of even length k is read as k/2 complex numbers
 in interleaved (re, im) pairs, i.e. row.reshape(k // 2, 2). A relation row
@@ -24,6 +26,7 @@ flavour coincides with the flat 2*(k/2)-component Euclidean norm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,7 +49,7 @@ HITS_AT = (1, 3, 10)
 
 class BatchGrad(NamedTuple):
     """Each pair's hinge loss, and the rows the active pairs use (repeats
-    included) beside their gradients, to be summed by scatter."""
+    included) beside their gradients, applied by scatter in this order."""
 
     losses: np.ndarray
     entity_rows: np.ndarray
@@ -116,27 +119,32 @@ def _kernel(model: KgeModel, h, r, t, grads: bool = True):
     """Scores of the triples (h[i], r[i], t[i]) and, with grads, d score /
     d (head row, relation row, tail row) of each; for rotate, the relation
     gradient is by phase angle. A norm (for L1, a modulus) below 1e-15 gets
-    the zero subgradient.
+    the zero subgradient. TransE's head and relation gradients are one array.
     """
-    head, rel, tail = model.entity_emb[h], model.relation_emb[r], model.entity_emb[t]
+    ent = model.entity_emb
+    head, rel, tail = ent.take(h, axis=0), model.relation_emb.take(r, axis=0), ent.take(t, axis=0)
     if model.kind == "distmult":
         hr = head * rel
-        return np.sum(hr * tail, axis=1), ((rel * tail, head * tail, hr) if grads else None)
+        return (hr * tail).sum(axis=1), ((rel * tail, head * tail, hr) if grads else None)
     if model.kind == "transe":
         d = (head + rel - tail)[:, :, None]  # one real component per modulus
     else:
         cos, sin = np.cos(rel), np.sin(rel)
         rot = _rotate(head, cos, sin)
         d = rot - tail.reshape(rot.shape)  # one complex component per modulus
-    sq = np.sum(d * d, axis=2, keepdims=True)
-    norm = np.sqrt(sq if model.norm == "l1" else np.sum(sq, axis=1, keepdims=True))
-    scores = -np.sum(norm, axis=(1, 2))
+    sq = (d * d).sum(axis=2, keepdims=True)
+    norm = np.sqrt(sq if model.norm == "l1" else sq.sum(axis=1, keepdims=True))
+    scores = -norm.sum(axis=(1, 2))
     if not grads:
         return scores, None
     flat = norm < 1e-15
-    g = np.where(flat, 0.0, -d / np.where(flat, 1.0, norm))  # d score / d d
+    if flat.any():
+        g = np.where(flat, 0.0, -d / np.where(flat, 1.0, norm))  # d score / d d
+    else:
+        g = -d / norm
     if model.kind == "transe":
-        return scores, (g[:, :, 0], g[:, :, 0], -g[:, :, 0])
+        g = g[:, :, 0]
+        return scores, (g, g, -g)
     g_theta = g[..., 1] * rot[..., 0] - g[..., 0] * rot[..., 1]
     return scores, (_rotate(g, cos, -sin).reshape(len(g), -1), g_theta, -g.reshape(len(g), -1))
 
@@ -149,13 +157,24 @@ def grad(model: KgeModel, positive, negative, margin: float) -> BatchGrad:
     scores, (g_h, g_r, g_t) = _kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
     b = len(positive)
     hinge = margin - scores[:b] + scores[b:]
-    active = np.tile(hinge > 0.0, 2)
+    up = hinge > 0.0
+    active = np.concatenate([up, up])
     # L = margin - f(pos) + f(neg), so positive rows get -df, negative rows +df.
-    sign = np.repeat([-1.0, 1.0], b)[active, None]
-    ids = ids[active]
+    shared = g_r is g_h
+    for g in (g_h, g_t) if shared else (g_h, g_r, g_t):
+        np.negative(g[:b], out=g[:b])
+    ids, g_h = ids.compress(active, axis=0), g_h.compress(active, axis=0)
     return BatchGrad(np.maximum(hinge, 0.0), np.concatenate([ids[:, 0], ids[:, 2]]),
-                     np.concatenate([g_h[active] * sign, g_t[active] * sign]),
-                     ids[:, 1], g_r[active] * sign)
+                     np.concatenate([g_h, g_t.compress(active, axis=0)]),
+                     ids[:, 1], g_h if shared else g_r.compress(active, axis=0))
+
+
+def _subtract_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """table[rows[i]] -= values[i] for each i in order, repeated rows too,
+    through ufunc.at's one-dimensional fast path. The table must be
+    C-contiguous, so that its flat reshape is a view."""
+    k = table.shape[1]
+    np.subtract.at(table.reshape(-1), (rows[:, None] * k + np.arange(k)).ravel(), values.ravel())
 
 
 def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float]]:
@@ -164,8 +183,8 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
     Each epoch shuffles the triples into negatives_per_positive consecutive
     (positive, negative) pairs each. A batch of BATCH_SIZE pairs draws a side
     (head or tail, equal odds), then a filtered corruption, per pair, and
-    steps by the summed gradients of its active pairs, the step scale of
-    per-pair SGD (a batch of 1). TransE entity rows are renormalised to unit
+    subtracts the row gradients of its active pairs one by one, the step
+    scale of per-pair SGD (a batch of 1). TransE entity rows are renormalised to unit
     L2 norm after every epoch. Returns the model and the per-epoch mean
     pre-step hinge loss; raises TrainingDivergedError at the first batch
     whose loss is NaN or infinite.
@@ -179,15 +198,14 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
         total = 0.0
         for batch, start in enumerate(range(0, len(pairs), BATCH_SIZE), start=1):
             pos = pairs[start : start + BATCH_SIZE]
-            sides = np.where(rng.random(len(pos)) < 0.5, HEAD, TAIL)
-            g = grad(model, pos, corrupt(pos, sides, rng, kg), cfg.margin)
-            total += float(np.sum(g.losses))
-            if not np.isfinite(total):
+            g = grad(model, pos, corrupt(pos, rng.random(len(pos)) < 0.5, rng, kg), cfg.margin)
+            total += float(g.losses.sum())
+            if not math.isfinite(total):
                 raise TrainingDivergedError(
                     f"kge {cfg.kind}: non-finite loss in epoch {epoch}, batch {batch}"
                 )
-            np.subtract.at(model.entity_emb, g.entity_rows, lr * g.entity_grads)
-            np.subtract.at(model.relation_emb, g.relation_rows, lr * g.relation_grads)
+            _subtract_rows(model.entity_emb, g.entity_rows, lr * g.entity_grads)
+            _subtract_rows(model.relation_emb, g.relation_rows, lr * g.relation_grads)
         if cfg.kind == "transe":
             norms = np.linalg.norm(model.entity_emb, axis=1, keepdims=True)
             np.divide(model.entity_emb, norms, out=model.entity_emb, where=norms > 0)

@@ -9,12 +9,18 @@ scalar scores, hand-derived row gradients, the one-triple rejection
 sampler, the per-pair SGD trainer with one update per pair, and the
 per-query ranking that scores one query against every entity at a time, or
 every candidate on its own.
+
+`batched_train` is a frozen copy of the minibatch trainer as it stood
+before its step was cut to fewer numpy calls: string sides, rebuilt triple
+keys in every sampling round, a +-1 sign vector and two-dimensional row
+scatters. The library's trainer must produce the same bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from knowfuse.errors import CorruptionError
+from knowfuse import kg as kg_module
+from knowfuse.errors import CorruptionError, TrainingDivergedError
 from knowfuse.kg import HEAD, TAIL, KnowledgeGraph, Triple
 from knowfuse.kge import KgeModel, KgeTrainConfig, LinkPredictionResult, init_model
 
@@ -234,6 +240,107 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
             norms = np.linalg.norm(model.entity_emb, axis=1, keepdims=True)
             np.divide(model.entity_emb, norms, out=model.entity_emb, where=norms > 0)
         trace.append(total / max(pairs, 1))
+    return model, trace
+
+
+def _is_known(kg: KnowledgeGraph, ids: np.ndarray) -> np.ndarray:
+    n, r = kg.num_entities, kg.num_relations
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+    keys = (ids[:, 0] * r + ids[:, 1]) * n + ids[:, 2]
+    known = np.sort((kg.triples[:, 0] * r + kg.triples[:, 1]) * n + kg.triples[:, 2])
+    at = np.searchsorted(known, keys)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == keys[hit]
+    return hit
+
+
+def batched_corrupt(triples, sides, rng: np.random.Generator, kg: KnowledgeGraph) -> np.ndarray:
+    """The batch sampler over string sides, with kg.CORRUPT_ATTEMPTS rounds."""
+    n = kg.num_entities
+    ids = np.asarray(triples, dtype=np.int64)
+    out, col, todo = ids.copy(), np.where(sides == HEAD, 0, 2), np.arange(len(ids))
+    original = ids[todo, col]
+    for _ in range(kg_module.CORRUPT_ATTEMPTS):
+        if not todo.size:
+            break
+        candidates = rng.integers(0, n, size=todo.size)
+        out[todo, col[todo]] = candidates
+        todo = todo[(candidates == original[todo]) | _is_known(kg, out[todo])]
+    for i in todo.tolist():
+        every = np.repeat(ids[i : i + 1], n, axis=0)
+        every[:, col[i]] = np.arange(n)
+        free = np.flatnonzero((every[:, col[i]] != original[i]) & ~_is_known(kg, every))
+        if not free.size:
+            raise CorruptionError(f"no filtered corruption exists for {Triple(*ids[i].tolist())}")
+        out[i] = every[free[rng.integers(0, free.size)]]
+    return out
+
+
+def _rotate(rows, cos, sin):
+    re, im = rows.reshape(len(rows), -1, 2).transpose(2, 0, 1)
+    return np.stack([re * cos - im * sin, re * sin + im * cos], axis=-1)
+
+
+def _batched_kernel(model: KgeModel, h, r, t):
+    head, rel, tail = model.entity_emb[h], model.relation_emb[r], model.entity_emb[t]
+    if model.kind == "distmult":
+        hr = head * rel
+        return np.sum(hr * tail, axis=1), (rel * tail, head * tail, hr)
+    if model.kind == "transe":
+        d = (head + rel - tail)[:, :, None]
+    else:
+        cos, sin = np.cos(rel), np.sin(rel)
+        rot = _rotate(head, cos, sin)
+        d = rot - tail.reshape(rot.shape)
+    sq = np.sum(d * d, axis=2, keepdims=True)
+    norm = np.sqrt(sq if model.norm == "l1" else np.sum(sq, axis=1, keepdims=True))
+    scores = -np.sum(norm, axis=(1, 2))
+    flat = norm < 1e-15
+    g = np.where(flat, 0.0, -d / np.where(flat, 1.0, norm))
+    if model.kind == "transe":
+        return scores, (g[:, :, 0], g[:, :, 0], -g[:, :, 0])
+    g_theta = g[..., 1] * rot[..., 0] - g[..., 0] * rot[..., 1]
+    return scores, (_rotate(g, cos, -sin).reshape(len(g), -1), g_theta, -g.reshape(len(g), -1))
+
+
+def batched_grad(model: KgeModel, positive, negative, margin: float):
+    """(losses, entity rows, entity grads, relation rows, relation grads)."""
+    ids = np.concatenate([positive, negative])
+    scores, (g_h, g_r, g_t) = _batched_kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
+    b = len(positive)
+    hinge = margin - scores[:b] + scores[b:]
+    active = np.tile(hinge > 0.0, 2)
+    sign = np.repeat([-1.0, 1.0], b)[active, None]
+    ids = ids[active]
+    return (np.maximum(hinge, 0.0), np.concatenate([ids[:, 0], ids[:, 2]]),
+            np.concatenate([g_h[active] * sign, g_t[active] * sign]),
+            ids[:, 1], g_r[active] * sign)
+
+
+def batched_train(kg: KnowledgeGraph, cfg: KgeTrainConfig,
+                  batch_size: int = 32) -> tuple[KgeModel, list[float]]:
+    """Minibatch SGD, one step per batch of (positive, negative) pairs."""
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(cfg, kg.num_entities, kg.num_relations)
+    lr, trace = cfg.learning_rate, []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(kg.triples))
+        pairs = np.repeat(kg.triples[order], cfg.negatives_per_positive, axis=0)
+        total = 0.0
+        for start in range(0, len(pairs), batch_size):
+            pos = pairs[start : start + batch_size]
+            sides = np.where(rng.random(len(pos)) < 0.5, HEAD, TAIL)
+            losses, e_rows, e_grads, r_rows, r_grads = batched_grad(
+                model, pos, batched_corrupt(pos, sides, rng, kg), cfg.margin)
+            total += float(np.sum(losses))
+            if not np.isfinite(total):
+                raise TrainingDivergedError(f"non-finite loss in epoch {epoch}")
+            np.subtract.at(model.entity_emb, e_rows, lr * e_grads)
+            np.subtract.at(model.relation_emb, r_rows, lr * r_grads)
+        if cfg.kind == "transe":
+            norms = np.linalg.norm(model.entity_emb, axis=1, keepdims=True)
+            np.divide(model.entity_emb, norms, out=model.entity_emb, where=norms > 0)
+        trace.append(total / max(len(pairs), 1))
     return model, trace
 
 

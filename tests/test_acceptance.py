@@ -408,11 +408,15 @@ def test_criterion_10_cli_is_byte_deterministic(tmp_path):
                 "--n-concepts", "10", "--concepts-per-record", "3",
                 "--class-ratio", "0.5", "--seed", "5", "--out", str(data),
             ]) == 0
-            assert main([
-                "train-kge", "--triples", str(triples), "--dim", "8",
-                "--epochs", "15", "--lr", "0.05", "--negatives", "2",
-                "--heldout", "6", "--seed", "5", "--out", str(root / "kge"),
-            ]) == 0
+            # TransE (L2 and L1), RotatE and DistMult: each kernel's outputs
+            for name, flags in (("kge", []), ("kge-l1", ["--norm", "l1"]),
+                                ("kge-rotate", ["--kind", "rotate"]),
+                                ("kge-distmult", ["--kind", "distmult"])):
+                assert main([
+                    "train-kge", "--triples", str(triples), "--dim", "8",
+                    "--epochs", "15", "--lr", "0.05", "--negatives", "2",
+                    "--heldout", "6", "--seed", "5", *flags, "--out", str(root / name),
+                ]) == 0
             assert main([
                 "retrieve", "--concepts", str(root / "kge" / "entities.emb"),
                 "--queries", str(root / "kge" / "entities.emb"),
@@ -444,6 +448,6 @@ def test_criterion_10_cli_is_byte_deterministic(tmp_path):
         run_all(run_b)
         files_a = sorted(p.relative_to(run_a) for p in run_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(run_b) for p in run_b.rglob("*") if p.is_file())
-        assert files_a == files_b and len(files_a) >= 14
+        assert files_a == files_b and len(files_a) >= 26
         for rel in files_a:
             assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel

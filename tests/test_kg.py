@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from knowfuse import kge
 from knowfuse.errors import CorruptionError, TripleLoadError
 from knowfuse.kg import (
-    HEAD,
-    TAIL,
     corrupt,
     holdout_split,
     load_triples,
@@ -93,6 +91,14 @@ class TestLoadTriples:
         assert kg.relations == ["IsA"]
         assert len(kg.triples) == 2
 
+    @pytest.mark.parametrize("token", ["/c/en/", "/c/en", "/c/", "/c/en//n"])
+    def test_conceptnet_uri_without_term_rejected(self, tmp_path, token):
+        # such a URI must not load as its language code or as "c"
+        path = tmp_path / "c.csv"
+        path.write_text(f"/r/IsA,/c/en/dog,/c/en/animal\n/r/IsA,{token},/c/en/dog\n")
+        with pytest.raises(TripleLoadError, match="line 2"):
+            load_triples(path, fmt="conceptnet-csv")
+
     def test_conceptnet_tab_separated_variant(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("/r/IsA\t/c/en/dog\t/c/en/animal\n")
@@ -112,41 +118,42 @@ class TestToyGraphShape:
 class TestCorrupt:
     def test_head_corruption_filtered(self, toy_graph):
         ids = toy_graph.triples
-        neg = corrupt(ids, np.full(len(ids), HEAD), np.random.default_rng(0), toy_graph)
+        neg = corrupt(ids, np.full(len(ids), True), np.random.default_rng(0), toy_graph)
         assert (neg[:, 0] != ids[:, 0]).all()
         assert np.array_equal(neg[:, 1:], ids[:, 1:])
         assert not set(map(tuple, neg.tolist())) & toy_graph.known_set
 
     def test_tail_corruption_filtered(self, toy_graph):
         ids = toy_graph.triples
-        neg = corrupt(ids, np.full(len(ids), TAIL), np.random.default_rng(1), toy_graph)
+        neg = corrupt(ids, np.full(len(ids), False), np.random.default_rng(1), toy_graph)
         assert (neg[:, 2] != ids[:, 2]).all()
         assert np.array_equal(neg[:, :2], ids[:, :2])
         assert not set(map(tuple, neg.tolist())) & toy_graph.known_set
 
     def test_deterministic_under_seed(self, toy_graph):
         ids = toy_graph.triples
-        sides = np.where(np.arange(len(ids)) % 3, TAIL, HEAD)
-        a = corrupt(ids, sides, np.random.default_rng(7), toy_graph)
-        b = corrupt(ids, sides, np.random.default_rng(7), toy_graph)
+        head = np.arange(len(ids)) % 3 == 0
+        a = corrupt(ids, head, np.random.default_rng(7), toy_graph)
+        b = corrupt(ids, head, np.random.default_rng(7), toy_graph)
         assert np.array_equal(a, b)
 
     def test_invalid_side(self, toy_graph):
-        # one bad side among good ones rejects the whole batch
-        with pytest.raises(ValueError, match="side"):
-            corrupt(toy_graph.triples[:2], np.array([HEAD, "left"]),
-                    np.random.default_rng(0), toy_graph)
+        # the side mask must be boolean, one entry per triple
+        for head in ([1, 0], ["head", "tail"], [True], [[True, False]]):
+            with pytest.raises(ValueError, match="head"):
+                corrupt(toy_graph.triples[:2], np.array(head), np.random.default_rng(0),
+                        toy_graph)
 
     def test_explicit_complement_after_failed_draws(self, toy_graph, monkeypatch):
         # with no uniform draws the fallback alone picks each row's negative
         monkeypatch.setattr("knowfuse.kg.CORRUPT_ATTEMPTS", 0)
         rows = np.repeat(toy_graph.triples[:1], 200, axis=0)
-        for side in (HEAD, TAIL):
-            sides = np.full(len(rows), side)
-            negs = corrupt(rows, sides, np.random.default_rng(3), toy_graph)
+        for side in (True, False):
+            head = np.full(len(rows), side)
+            negs = corrupt(rows, head, np.random.default_rng(3), toy_graph)
             assert not set(map(tuple, negs.tolist())) & toy_graph.known_set
             assert len(np.unique(negs, axis=0)) > 1
-            again = corrupt(rows, sides, np.random.default_rng(3), toy_graph)
+            again = corrupt(rows, head, np.random.default_rng(3), toy_graph)
             assert np.array_equal(again, negs)
 
     def test_dense_hub_trains(self, tmp_path, monkeypatch):
@@ -160,8 +167,8 @@ class TestCorrupt:
         assert kg.num_entities == 211
         negatives = []
 
-        def recording(triples, sides, rng, graph):
-            neg = corrupt(triples, sides, rng, graph)
+        def recording(triples, head, rng, graph):
+            neg = corrupt(triples, head, rng, graph)
             negatives.extend(map(tuple, neg.tolist()))  # the trainer corrupts a batch per call
             return neg
 
@@ -176,8 +183,10 @@ class TestCorrupt:
         # every (h, r, t) combination is a known edge, so no negative exists
         rows = [(h, "r", t) for h in ("a", "b") for t in ("a", "b")]
         kg = load_triples(write_tsv(rows, tmp_path / "t.tsv"))
-        with pytest.raises(CorruptionError, match=r"for Triple\(head=0, relation=0, tail=0\)"):
-            corrupt(kg.triples[:1], np.array([TAIL]), np.random.default_rng(0), kg)
+        with pytest.raises(CorruptionError, match=r"for Triple\(head=0, relation=0, tail=0\) on tail"):
+            corrupt(kg.triples[:1], np.array([False]), np.random.default_rng(0), kg)
+        with pytest.raises(CorruptionError, match=r"for Triple\(head=0, relation=0, tail=0\) on head"):
+            corrupt(kg.triples[:1], np.array([True]), np.random.default_rng(0), kg)
 
 
 class TestHoldoutSplit:
@@ -195,8 +204,9 @@ class TestHoldoutSplit:
         assert train.entities == toy_graph.entities
         assert train.relations == toy_graph.relations
         held = np.array([t.as_tuple() for t in heldout])
-        assert toy_graph.is_known(held).all()
-        assert not train.is_known(held).any() and train.is_known(train.triples).all()
+        assert toy_graph.is_known(toy_graph.triple_keys(held)).all()
+        assert not train.is_known(train.triple_keys(held)).any()
+        assert train.is_known(train.triple_keys(train.triples)).all()
         assert len(train.known_keys) == 50
 
     def test_deterministic(self, toy_graph):
