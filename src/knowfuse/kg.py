@@ -87,12 +87,14 @@ class KnowledgeGraph:
 
 def _strip_uri(token: str) -> str:
     """The term of a ConceptNet concept URI, `/c/<lang>/<term>[/<pos>/...]`
-    ('' when it has none), the final path segment of any other URI, or the
-    token itself."""
+    ('' when it has none), '' for a relation URI `/r/` without a name, the
+    final path segment of any other URI, or the token itself."""
     token = token.strip()
     parts = token.split("/")
     if parts[:2] == ["", "c"]:
         return parts[3] if len(parts) > 3 else ""
+    if parts[:2] == ["", "r"] and not any(parts[2:]):
+        return ""
     if "/" in token:
         token = token.rstrip("/").rsplit("/", 1)[-1]
     return token

@@ -13,7 +13,10 @@ every candidate on its own.
 `batched_train` is a frozen copy of the minibatch trainer as it stood
 before its step was cut to fewer numpy calls: string sides, rebuilt triple
 keys in every sampling round, a +-1 sign vector and two-dimensional row
-scatters. The library's trainer must produce the same bits.
+scatters. `_batched_kernel` and `rotate_query_scores` are frozen copies of
+the kernel and of RotatE's ranking scores as they stood before RotatE moved
+to real and imaginary planes with cos and sin per relation table row. The
+library must produce the same bits as all three.
 """
 from __future__ import annotations
 
@@ -301,6 +304,28 @@ def _batched_kernel(model: KgeModel, h, r, t):
         return scores, (g[:, :, 0], g[:, :, 0], -g[:, :, 0])
     g_theta = g[..., 1] * rot[..., 0] - g[..., 0] * rot[..., 1]
     return scores, (_rotate(g, cos, -sin).reshape(len(g), -1), g_theta, -g.reshape(len(g), -1))
+
+
+def rotate_query_scores(model: KgeModel, ids, side: str, table, sq_norms) -> np.ndarray:
+    """RotatE's ranking scores [Q, rows] as link_predict_eval took them with
+    cos and sin of every query's gathered phases and stacked (re, im) axes."""
+    ent, rel = model.entity_emb, model.relation_emb
+    h, r, t = ids.T
+    if model.norm == "l1":
+        n = len(ent)
+        every = np.tile(np.arange(n), len(ids))
+        heads, tails = (np.repeat(h, n), every) if side == TAIL else (every, np.repeat(t, n))
+        return _batched_kernel(model, heads, np.repeat(r, n), tails)[0].reshape(-1, n)
+    cos, sin = np.cos(rel[r]), np.sin(rel[r])
+    x = _rotate(ent[h], cos, sin) if side == TAIL else _rotate(ent[t], cos, -sin)
+    x = x.reshape(len(ids), -1)
+    out = x @ table.T
+    out *= -2.0
+    out += (x * x).sum(axis=1)[:, None]
+    out += sq_norms
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    return np.negative(out, out=out)
 
 
 def batched_grad(model: KgeModel, positive, negative, margin: float):

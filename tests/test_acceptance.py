@@ -408,9 +408,10 @@ def test_criterion_10_cli_is_byte_deterministic(tmp_path):
                 "--n-concepts", "10", "--concepts-per-record", "3",
                 "--class-ratio", "0.5", "--seed", "5", "--out", str(data),
             ]) == 0
-            # TransE (L2 and L1), RotatE and DistMult: each kernel's outputs
+            # TransE and RotatE (L2 and L1) and DistMult: each kernel's outputs
             for name, flags in (("kge", []), ("kge-l1", ["--norm", "l1"]),
                                 ("kge-rotate", ["--kind", "rotate"]),
+                                ("kge-rotate-l1", ["--kind", "rotate", "--norm", "l1"]),
                                 ("kge-distmult", ["--kind", "distmult"])):
                 assert main([
                     "train-kge", "--triples", str(triples), "--dim", "8",
@@ -448,6 +449,6 @@ def test_criterion_10_cli_is_byte_deterministic(tmp_path):
         run_all(run_b)
         files_a = sorted(p.relative_to(run_a) for p in run_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(run_b) for p in run_b.rglob("*") if p.is_file())
-        assert files_a == files_b and len(files_a) >= 26
+        assert files_a == files_b and len(files_a) >= 30
         for rel in files_a:
             assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel

@@ -99,6 +99,21 @@ class TestLoadTriples:
         with pytest.raises(TripleLoadError, match="line 2"):
             load_triples(path, fmt="conceptnet-csv")
 
+    @pytest.mark.parametrize("token", ["/r/", "/r//", "/r"])
+    def test_conceptnet_relation_uri_without_name_rejected(self, tmp_path, token):
+        # such a URI must not load as relation "r"
+        path = tmp_path / "c.csv"
+        path.write_text(f"/r/IsA,/c/en/dog,/c/en/animal\n{token},/c/en/dog,/c/en/cat\n")
+        with pytest.raises(TripleLoadError, match="line 2: empty field or URI term in triple"):
+            load_triples(path, fmt="conceptnet-csv")
+
+    @pytest.mark.parametrize("token,name", [("/r/IsA", "IsA"), ("/r/IsA/", "IsA"),
+                                            ("/r/dbpedia/genre", "genre")])
+    def test_conceptnet_relation_uri_names_kept(self, tmp_path, token, name):
+        path = tmp_path / "c.csv"
+        path.write_text(f"{token},/c/en/dog,/c/en/cat\n")
+        assert load_triples(path, fmt="conceptnet-csv").relations == [name]
+
     def test_conceptnet_tab_separated_variant(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("/r/IsA\t/c/en/dog\t/c/en/animal\n")

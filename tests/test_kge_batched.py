@@ -247,8 +247,9 @@ class TestMinibatchTrainer:
 
 
 class TestBitIdentity:
-    """The lean SGD step against the two-dimensional scatter and the frozen
-    batched trainer in kge_reference: equal bits, not only close values."""
+    """The lean SGD step and kernel against the two-dimensional scatter and
+    the frozen batched trainer, kernel and RotatE ranking in kge_reference:
+    equal bits, not only close values."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["transe", "rotate"]), dim=st.sampled_from([2, 6, 32]),
@@ -267,6 +268,43 @@ class TestBitIdentity:
             kge._subtract_rows(table, rows, values)  # in place, into the model's own table
             assert np.array_equal(table, want)
         assert model.relation_emb.shape[1] == (dim // 2 if kind == "rotate" else dim)
+
+    @pytest.mark.parametrize("kind,norm", CASES + [("distmult", "l1")])
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 8, 96]), rows=st.integers(1, 64),
+           n_rel=st.sampled_from([1, 3, 70]), seed=st.integers(0, 2**32 - 1),
+           zero=st.booleans())
+    def test_kernel_equals_frozen_kernel(self, kind, norm, dim, rows, n_rel, seed, zero):
+        # relation tables smaller and larger than the batch
+        rng = np.random.default_rng(seed)
+        model = _model(kind, norm, rng, n_ent=9, n_rel=n_rel, dim=dim)
+        ids = rng.integers(0, [9, n_rel, 9], size=(rows, 3))
+        if zero:  # a zero-distance row, where the subgradient is zero
+            ids[0] = (2, 0, 2)
+            model.relation_emb[0] = 0.0
+        scores, grads = kge._kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
+        want, want_grads = ref._batched_kernel(model, ids[:, 0], ids[:, 1], ids[:, 2])
+        assert np.array_equal(scores, want)
+        assert np.array_equal(kge._kernel(model, *ids.T, grads=False)[0], want)
+        assert len(grads) == 3
+        for got, expected in zip(grads, want_grads):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    @pytest.mark.parametrize("side", [TAIL, HEAD])
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([2, 8, 96]), queries=st.integers(1, 12),
+           n_rel=st.sampled_from([1, 3, 70]), seed=st.integers(0, 2**32 - 1))
+    def test_rotate_query_scores_equal_frozen_ranking(self, norm, side, dim, queries, n_rel,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        model = _model("rotate", norm, rng, n_ent=9, n_rel=n_rel, dim=dim)
+        ids = rng.integers(0, [9, n_rel, 9], size=(queries, 3))
+        table = model.entity_emb
+        sq_norms = (table * table).sum(axis=1)
+        got = kge._query_scores(model, ids, side, table, sq_norms)
+        want = ref.rotate_query_scores(model, ids, side, table, sq_norms)
+        assert got.shape == (queries, 9) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind,norm", CASES + [("distmult", "l1")])
     @pytest.mark.parametrize("negatives", [1, 2])
