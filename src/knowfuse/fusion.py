@@ -346,17 +346,19 @@ class TrainResult:
     """The net restored to its best epoch and rounded to the float32 values a
     checkpoint keeps, one history row per epoch, and the store to evaluate it
     with: the input store, or for a knowledge net trained with train_concepts
-    a copy whose used rows are the tuned ones, as concepts_tuned.emb keeps."""
+    a copy made once training ends, whose training rows hold the tuned values."""
 
     net: FusionNet
     history: list[dict]
     concepts: EmbeddingStore
 
 
-def _gather(records: list[CampaignRecord], idx: np.ndarray):
-    """Stack one equal-n_k batch: inputs, concept id matrix, labels."""
+def _gather(records: list[CampaignRecord], idx: np.ndarray, slot: np.ndarray | None = None):
+    """Stack one equal-n_k batch: inputs, concept id matrix, labels. With
+    slot, each concept id becomes slot[id], its row in the training state."""
     x = np.stack([records[i].multimodal_vec for i in idx]).astype(np.float64)
     ids = np.array([records[i].concept_ids for i in idx], dtype=np.int64)
+    ids = ids if slot is None else slot[ids]
     labels = np.array([records[i].label for i in idx], dtype=np.int64)
     return x, ids, labels
 
@@ -396,18 +398,17 @@ def _eval_logits(
     return _attend(net, x, c, *folded).logits
 
 
-def _eval_net(
-    net: FusionNet, records: list[CampaignRecord], concepts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, predicted labels, positive-class probabilities), batched.
-    The knowledge maps are folded once per call (see the module docstring)."""
+def _eval_net(net: FusionNet, records: list[CampaignRecord], concepts: np.ndarray,
+              slot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, predicted labels, positive-class probabilities), batched, with
+    ids mapped as _gather maps them. Knowledge maps fold once per call."""
     folded = _fold_knowledge(net) if net.cfg.use_knowledge else ()
     ks = np.array([len(r.concept_ids) for r in records])
     labels = np.array([r.label for r in records], dtype=np.int64)
     preds = np.empty(len(records), dtype=np.int64)
     p1 = np.empty(len(records), dtype=np.float64)
     for idx in _batch_plan(ks, np.arange(len(records)), 512):
-        x, ids, _ = _gather(records, idx)
+        x, ids, _ = _gather(records, idx, slot)
         probs = _softmax(_eval_logits(net, folded, x, ids, concepts), axis=-1)
         # Equal logits resolve to label 0.
         preds[idx] = (probs[:, 1] > probs[:, 0]).astype(np.int64)
@@ -439,7 +440,8 @@ def train_classifier(
     improved for early_stop_patience consecutive epochs, and the parameters
     from the best epoch are restored and rounded to float32. History rows
     carry epoch, final learning rate, mean train loss, and the train and
-    validation accuracy of the float64 state that training steps.
+    validation accuracy of the float64 training state, which with
+    train_concepts holds only the concept rows the records use.
     """
     if not records:
         raise ValueError("no training records")
@@ -459,10 +461,8 @@ def train_classifier(
     if {r.label for r in records} != {0, 1}:
         raise ValueError("training records must include both labels")
 
-    # Tuned concepts need a float64 copy; forward converts gathered rows
-    # exactly. The ablation net reads no concept row, so it tunes none.
+    # The ablation net reads no concept row, so it tunes none.
     tuned = cfg.train_concepts and cfg.use_knowledge
-    concepts = concept_store.vectors.astype(np.float64) if tuned else concept_store.vectors
     _resolve_ids(records, concept_store, cfg)
     _resolve_ids(val_records, concept_store, cfg)
 
@@ -471,22 +471,27 @@ def train_classifier(
     total_steps = cfg.epochs * n_batches
     warmup_steps = int(round(cfg.warmup_fraction * total_steps))
 
-    # The training state is net.flat, followed with concept training by the
-    # rows the training records use: every other row keeps zero gradient and
-    # moments, so a step over the whole matrix would leave it bit-identical.
+    # The training state is one float64 vector: net.flat, then with concept
+    # training the rows training records use and then those only validation
+    # records use (_gather maps store ids to them through slot). Adam steps all
+    # but the last: with zero gradient and moments, a step leaves them as is.
     n = len(net.flat)
-    state, rows = net.flat, concepts
+    state, concepts, slot, used = net.flat, concept_store.vectors, None, ()
     if tuned:
         used = np.unique(np.concatenate([r.concept_ids for r in records]))
-        state = np.concatenate([net.flat, concepts[used].ravel()])
+        val_ids = np.concatenate([r.concept_ids for r in val_records])
+        held = np.concatenate([used, np.setdiff1d(val_ids, used)])
+        slot = np.empty(concept_store.n, dtype=np.int64)
+        slot[held] = np.arange(len(held))
+        state = np.concatenate([net.flat, concepts[held].ravel()])
         net = FusionNet.from_flat(cfg, state[:n])
-        rows = state[n:].reshape(len(used), cfg.knowledge_dim)
-    adam = _Adam(state)
-    grad = np.zeros_like(state)
+        concepts = state[n:].reshape(len(held), cfg.knowledge_dim)
+    stepped = state[: n + cfg.knowledge_dim * len(used)]
+    adam, grad = _Adam(stepped), np.zeros_like(stepped)
 
     history: list[dict] = []
     best_val = -1.0
-    best = state.copy()
+    best = stepped.copy()
     stale = 0
     step = 0
 
@@ -497,10 +502,8 @@ def train_classifier(
         for batch, idx in enumerate(_batch_plan(ks, order, cfg.batch_size), start=1):
             step += 1
             lr = warmup_lr(step, total_steps, warmup_steps, cfg.learning_rate)
-            x, ids, batch_labels = _gather(records, idx)
-            if tuned:
-                ids = np.searchsorted(used, ids)
-            logits, trace = forward(net, x, rows[ids])
+            x, ids, batch_labels = _gather(records, idx, slot)
+            logits, trace = forward(net, x, concepts[ids])
             epoch_loss += float(cross_entropy(logits, batch_labels).sum())
             if not np.isfinite(epoch_loss):
                 raise TrainingDivergedError(f"fusion: non-finite loss in epoch {epoch + 1}, "
@@ -508,28 +511,26 @@ def train_classifier(
             _, d_kg = backward(net, trace, batch_labels, out=grad[:n], kg_grad=tuned)
             if tuned:
                 grad[n:] = 0.0
-                np.add.at(grad[n:].reshape(rows.shape), ids, d_kg)
+                np.add.at(grad[n:].reshape(len(used), -1), ids, d_kg)
             adam.step(grad, lr)
-        if tuned:
-            concepts[used] = rows
 
-        train_acc, val_acc = (metrics.accuracy(*_eval_net(net, split, concepts)[:2])
+        train_acc, val_acc = (metrics.accuracy(*_eval_net(net, split, concepts, slot)[:2])
                               for split in (records, val_records))
         history.append({"epoch": epoch + 1, "lr": lr, "train_loss": epoch_loss / len(records),
                         "train_acc": train_acc, "val_acc": val_acc})
         if val_acc > best_val:
             best_val = val_acc
-            best[...] = state
+            best[...] = stepped
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
 
-    state[...] = best.astype(np.float32)  # the values save_checkpoint and write_store keep
+    stepped[...] = best.astype(np.float32)  # the values save_checkpoint and write_store keep
     if tuned:
         vectors = concept_store.vectors.copy()
-        vectors[used] = rows
+        vectors[used] = concepts[: len(used)]
         concept_store = replace(concept_store, vectors=vectors)
     return TrainResult(net=net, history=history, concepts=concept_store)
 

@@ -11,12 +11,12 @@ Training minimises the margin ranking loss
 
     L = max(0, margin - f(pos) + f(neg))
 
-with minibatch SGD over filtered negatives. All gradients are hand derived;
-training runs in float64. One kernel per score function scores a [B, 3]
-array of id triples with their row gradients; ranking uses its one-product
-form. Training and its gradients take [B, 3] id arrays only. A step
-subtracts the active pairs' row gradients from the tables in batch order
-(head rows, then tail rows), one subtraction each, repeated rows included.
+with minibatch SGD over filtered negatives, in float64, with hand-derived
+gradients. One kernel per score function scores [B, 3] id triples with
+their row gradients, all that training takes; ranking uses its one-product
+form, or for L1 norms the kernel, each query broadcast over every entity. A
+step subtracts the active pairs' row gradients from the tables in batch
+order (head rows, then tail rows), one subtraction each, repeated rows included.
 
 RotatE layout: an entity row of even length k is read as k/2 complex numbers
 in interleaved (re, im) pairs, i.e. row.reshape(k // 2, 2). A relation row
@@ -145,10 +145,11 @@ def _kernel(model: KgeModel, h, r, t, grads: bool = True):
     """Scores of the triples (h[i], r[i], t[i]) and, with grads, d score /
     d (head row, relation row, tail row) of each; for rotate, the relation
     gradient is by phase angle. A norm (for L1, a modulus) below 1e-15 gets
-    the zero subgradient. TransE's head and relation gradients are one array.
+    the zero subgradient. TransE's head and relation gradients are one array;
+    without grads the ids may broadcast ([Q, 1] queries by [1, n] entities).
 
-    The difference d is one [n, k] plane for TransE and two [n, k/2] planes
-    (real, imaginary) for RotatE, so a squared modulus is d*d or
+    The difference d is one [..., k] plane for TransE and two [..., k/2]
+    planes (real, imaginary) for RotatE, so a squared modulus is d*d or
     re*re + im*im and no reduction runs over a size-2 axis. RotatE takes cos
     and sin once per relation table row.
     """
@@ -157,18 +158,18 @@ def _kernel(model: KgeModel, h, r, t, grads: bool = True):
     if model.kind == "distmult":
         rel = model.relation_emb.take(r, axis=0)
         hr = head * rel
-        return (hr * tail).sum(axis=1), ((rel * tail, head * tail, hr) if grads else None)
+        return (hr * tail).sum(axis=-1), ((rel * tail, head * tail, hr) if grads else None)
     if model.kind == "transe":
         d = (head + model.relation_emb.take(r, axis=0) - tail,)
         sq = d[0] * d[0]
     else:
         cos, sin = _trig(model, r)
-        re, im = head[:, 0::2], head[:, 1::2]
+        re, im = head[..., 0::2], head[..., 1::2]
         rot = (re * cos - im * sin, re * sin + im * cos)
-        d = (rot[0] - tail[:, 0::2], rot[1] - tail[:, 1::2])
+        d = (rot[0] - tail[..., 0::2], rot[1] - tail[..., 1::2])
         sq = d[0] * d[0] + d[1] * d[1]
-    norm = np.sqrt(sq if model.norm == "l1" else sq.sum(axis=1, keepdims=True))
-    scores = -norm.sum(axis=1)
+    norm = np.sqrt(sq if model.norm == "l1" else sq.sum(axis=-1, keepdims=True))
+    scores = -norm.sum(axis=-1)
     if not grads:
         return scores, None
     flat = norm < 1e-15
@@ -180,8 +181,8 @@ def _kernel(model: KgeModel, h, r, t, grads: bool = True):
     if model.kind == "transe":
         return scores, (g[0], g[0], -g[0])
     g_tail = np.empty_like(tail)
-    np.negative(g[0], out=g_tail[:, 0::2])
-    np.negative(g[1], out=g_tail[:, 1::2])
+    np.negative(g[0], out=g_tail[..., 0::2])
+    np.negative(g[1], out=g_tail[..., 1::2])
     g_theta = g[1] * rot[0] - g[0] * rot[1]
     return scores, (_rotate(g[0], g[1], cos, sin, conj=True), g_theta, g_tail)
 
@@ -253,16 +254,15 @@ def train(kg: KnowledgeGraph, cfg: KgeTrainConfig) -> tuple[KgeModel, list[float
 def _query_scores(model: KgeModel, ids, side: str, table, sq_norms) -> np.ndarray:
     """Scores [Q, rows] of a block of tail (or head) queries against the
     entity rows in table, one product per block; L1 norms, which have no
-    product form, score every entity through the kernel instead."""
+    product form, broadcast each query over every entity in the kernel."""
     ent, rel = model.entity_emb, model.relation_emb
     h, r, t = ids.T
     if model.kind == "distmult":
         return (ent[h] * rel[r] if side == TAIL else rel[r] * ent[t]) @ table.T
     if model.norm == "l1":
-        n = len(ent)
-        every = np.tile(np.arange(n), len(ids))
-        heads, tails = (np.repeat(h, n), every) if side == TAIL else (every, np.repeat(t, n))
-        return _kernel(model, heads, np.repeat(r, n), tails, grads=False)[0].reshape(-1, n)
+        every = np.arange(len(ent))[None]
+        heads, tails = (h[:, None], every) if side == TAIL else (every, t[:, None])
+        return _kernel(model, heads, r[:, None], tails, grads=False)[0]
     if model.kind == "transe":
         x = ent[h] + rel[r] if side == TAIL else ent[t] - rel[r]
     else:  # a rotation is unitary: ||h o r - t|| = ||h - t o conj(r)||
@@ -312,13 +312,12 @@ def link_predict_eval(
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), 3)
         raise ValueError(f"{('head', 'relation', 'tail')[j]} id {held[i, j]} out of range")
-    n, n_rel = kg.num_entities, kg.num_relations
+    n = kg.num_entities
     # The known triples (graph plus held-out set) keyed in (h, r, t) and in
     # (t, r, h) order: a query's known completions are one run of keys,
     # listed as (query, entity) pairs grouped by query.
-    keys = np.sort(np.concatenate([kg.known_keys, kg.triple_keys(held)]))
-    heads, rels, tails = keys // n // n_rel, keys // n % n_rel, keys % n
-    by_tail = np.sort(kg.triple_keys(np.c_[tails, rels, heads]))
+    triples = np.concatenate([kg.triples, held])
+    keys, by_tail = np.sort(kg.triple_keys(triples)), np.sort(kg.triple_keys(triples[:, ::-1]))
     known = []
     for keys, query in ((keys, held), (by_tail, held[:, ::-1])):
         first = kg.triple_keys(query) - query[:, 2]
@@ -336,7 +335,7 @@ def link_predict_eval(
         table, spread = np.unique(table, axis=0, return_inverse=True)
         spread = spread.reshape(-1)
     sq_norms = (table * table).sum(axis=1)
-    # The kernel path holds [rows * n_entities, dim] temporaries.
+    # The kernel path holds [rows, n_entities, dim] temporaries.
     rows = max(1, SCORE_BLOCK_BYTES // (8 * len(model.entity_emb) * (1 if product else model.dim)))
     ranks = np.empty((len(held), 2))
     for a in range(0, len(held), rows):

@@ -569,6 +569,28 @@ class TestTrainClassifier:
         assert np.array_equal(res.concepts.vectors, per_epoch[best].astype(np.float32))
         assert np.array_equal(res.concepts.vectors[8:], store.vectors[8:])
 
+    def test_tuning_holds_no_float64_copy_of_the_store(self):
+        # A ConceptNet-sized store: tuning keeps only the rows records use in
+        # float64, so the peak stays below one float64 copy of the store
+        # (39 MiB); the returned float32 copy is half of that.
+        n, dim = 20_000, 256
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore(dim=dim, names=[f"c{i}" for i in range(n)],
+                               vectors=rng.standard_normal((n, dim), dtype=np.float32))
+        records = [CampaignRecord(id=f"r{i}", multimodal_vec=rng.standard_normal(8),
+                                  concept_ids=rng.integers(0, n, 4).tolist(), label=i % 2)
+                   for i in range(48)]
+        cfg = _small_fusion_cfg(multimodal_dim=8, knowledge_dim=dim, train_concepts=True,
+                                epochs=2)
+        tracemalloc.start()
+        try:
+            res = train_classifier(records[:36], store, cfg, val_records=records[36:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.history) == 2
+        assert peak < 8 * n * dim
+
     @pytest.mark.parametrize("train_concepts", [False, True])
     @pytest.mark.parametrize("epochs", [0, 4])
     def test_evaluation_is_the_restored_epochs(self, train_concepts, epochs):

@@ -290,15 +290,17 @@ class TestBitIdentity:
         for got, expected in zip(grads, want_grads):
             assert got.shape == expected.shape and np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    # The frozen L1 branch runs the frozen kernel, so it serves TransE too.
+    @pytest.mark.parametrize("kind,norm", [("rotate", "l2"), ("rotate", "l1"), ("transe", "l1")],
+                             ids=["l2", "l1", "transe-l1"])
     @pytest.mark.parametrize("side", [TAIL, HEAD])
     @settings(max_examples=25, deadline=None)
     @given(dim=st.sampled_from([2, 8, 96]), queries=st.integers(1, 12),
            n_rel=st.sampled_from([1, 3, 70]), seed=st.integers(0, 2**32 - 1))
-    def test_rotate_query_scores_equal_frozen_ranking(self, norm, side, dim, queries, n_rel,
-                                                      seed):
+    def test_rotate_query_scores_equal_frozen_ranking(self, kind, norm, side, dim, queries,
+                                                      n_rel, seed):
         rng = np.random.default_rng(seed)
-        model = _model("rotate", norm, rng, n_ent=9, n_rel=n_rel, dim=dim)
+        model = _model(kind, norm, rng, n_ent=9, n_rel=n_rel, dim=dim)
         ids = rng.integers(0, [9, n_rel, 9], size=(queries, 3))
         table = model.entity_emb
         sq_norms = (table * table).sum(axis=1)
